@@ -172,41 +172,45 @@ func (gd *Guidance) Clone() *Guidance {
 
 const guidanceMagic = "SLRR"
 
+// ioBatch is the number of u32 values WriteTo encodes, and ReadGuidance
+// decodes, per Write/Read call (64 KiB of payload).
+const ioBatch = 16 << 10
+
 // WriteTo serialises the guidance (magic, u32 n, u32 rounds, then LastIter
 // and Level arrays), enabling the §4.4 amortisation of preprocessing across
 // the ~8.7 jobs Facebook runs per graph.
 func (gd *Guidance) WriteTo(w io.Writer) (int64, error) {
-	var total int64
-	buf := make([]byte, 4+4+4)
+	buf := make([]byte, 12, 4*ioBatch)
 	copy(buf, guidanceMagic)
 	binary.LittleEndian.PutUint32(buf[4:], uint32(len(gd.LastIter)))
 	binary.LittleEndian.PutUint32(buf[8:], gd.Rounds)
 	k, err := w.Write(buf)
-	total += int64(k)
+	total := int64(k)
 	if err != nil {
 		return total, err
 	}
-	arr := make([]byte, 4)
-	for _, x := range gd.LastIter {
-		binary.LittleEndian.PutUint32(arr, x)
-		k, err = w.Write(arr)
-		total += int64(k)
-		if err != nil {
-			return total, err
-		}
-	}
-	for _, x := range gd.Level {
-		binary.LittleEndian.PutUint32(arr, x)
-		k, err = w.Write(arr)
-		total += int64(k)
-		if err != nil {
-			return total, err
+	for _, arr := range [][]uint32{gd.LastIter, gd.Level} {
+		for len(arr) > 0 {
+			batch := arr[:min(len(arr), ioBatch)]
+			arr = arr[len(batch):]
+			buf = buf[:4*len(batch)]
+			for i, x := range batch {
+				binary.LittleEndian.PutUint32(buf[4*i:], x)
+			}
+			k, err = w.Write(buf)
+			total += int64(k)
+			if err != nil {
+				return total, err
+			}
 		}
 	}
 	return total, nil
 }
 
-// ReadGuidance deserialises a guidance written by WriteTo.
+// ReadGuidance deserialises a guidance written by WriteTo. The arrays grow
+// as their bytes arrive, so a header claiming more vertices than the input
+// holds fails on truncation having allocated in proportion to the input,
+// not to the claim.
 func ReadGuidance(r io.Reader) (*Guidance, error) {
 	hdr := make([]byte, 12)
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -215,27 +219,39 @@ func ReadGuidance(r io.Reader) (*Guidance, error) {
 	if string(hdr[:4]) != guidanceMagic {
 		return nil, errors.New("rrg: bad magic")
 	}
-	n := binary.LittleEndian.Uint32(hdr[4:])
-	gd := &Guidance{
-		LastIter: make([]uint32, n),
-		Level:    make([]uint32, n),
-		Rounds:   binary.LittleEndian.Uint32(hdr[8:]),
+	n := int(binary.LittleEndian.Uint32(hdr[4:]))
+	gd := &Guidance{Rounds: binary.LittleEndian.Uint32(hdr[8:])}
+	buf := make([]byte, 4*min(n, ioBatch))
+	var err error
+	if gd.LastIter, err = readU32s(r, n, buf, "LastIter"); err != nil {
+		return nil, err
 	}
-	arr := make([]byte, 4)
-	for i := range gd.LastIter {
-		if _, err := io.ReadFull(r, arr); err != nil {
-			return nil, fmt.Errorf("rrg: truncated LastIter at %d: %w", i, err)
-		}
-		gd.LastIter[i] = binary.LittleEndian.Uint32(arr)
-		if gd.LastIter[i] > gd.MaxLastIter {
-			gd.MaxLastIter = gd.LastIter[i]
-		}
+	if gd.Level, err = readU32s(r, n, buf, "Level"); err != nil {
+		return nil, err
 	}
-	for i := range gd.Level {
-		if _, err := io.ReadFull(r, arr); err != nil {
-			return nil, fmt.Errorf("rrg: truncated Level at %d: %w", i, err)
-		}
-		gd.Level[i] = binary.LittleEndian.Uint32(arr)
+	for _, l := range gd.LastIter {
+		gd.MaxLastIter = max(gd.MaxLastIter, l)
 	}
 	return gd, nil
+}
+
+// readU32s reads n little-endian u32 values through buf, growing the
+// result at most geometrically (capped at n) ahead of the data read.
+func readU32s(r io.Reader, n int, buf []byte, name string) ([]uint32, error) {
+	out := make([]uint32, 0, min(n, ioBatch))
+	for len(out) < n {
+		want := min(n-len(out), len(buf)/4)
+		if k, err := io.ReadFull(r, buf[:4*want]); err != nil {
+			return nil, fmt.Errorf("rrg: truncated %s at %d: %w", name, len(out)+k/4, err)
+		}
+		if len(out)+want > cap(out) {
+			grown := make([]uint32, len(out), min(max(2*cap(out), len(out)+want), n))
+			copy(grown, out)
+			out = grown
+		}
+		for i := 0; i < want; i++ {
+			out = append(out, binary.LittleEndian.Uint32(buf[4*i:]))
+		}
+	}
+	return out, nil
 }

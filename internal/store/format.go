@@ -30,8 +30,8 @@
 //	weight data         mode 1: uvarint u32 per edge; mode 2: raw f32 LE
 //
 // Degrees come from the edge-offset index, so the adjacency stream needs
-// no per-vertex length prefixes; a block is the unit of decode (and of
-// pread in out-of-core mode).
+// no per-vertex length prefixes; a block is the unit of decode, and
+// out-of-core mode preads runs of blocks through fixed-size windows.
 package store
 
 import (
@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"slfe/internal/graph"
 )
@@ -140,7 +141,7 @@ type Graph struct {
 	f      *os.File
 	r      io.ReaderAt // reader mode
 	size   int64
-	ooc    bool // reader mode: adjacency is pread per block, not resident
+	ooc    bool // reader mode: adjacency is pread on demand, not resident
 
 	out, in dirRef
 
@@ -162,9 +163,9 @@ func Open(path string) (*Graph, error) {
 // OpenBudget opens path honouring a memory budget in bytes. A budget of 0
 // means "fits in memory": mmap where supported. A positive budget smaller
 // than the file size forces out-of-core mode — only the offset index and
-// block tables are heap-resident, and every adjacency block is pread into
-// cursor-owned scratch on demand, so supersteps stream the edge file
-// instead of faulting it wholesale into RAM.
+// block tables are heap-resident, and adjacency and weight bytes are pread
+// on demand through cursor-owned read windows, so supersteps stream the
+// edge file instead of faulting it wholesale into RAM.
 func OpenBudget(path string, budget int64) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -483,6 +484,31 @@ func (g *Graph) edgeOff(d *dirRef, v int64) int64 {
 	default:
 		return int64(d.off32[v])
 	}
+}
+
+// edgeOffs returns edge offsets start..end inclusive (0 ≤ start ≤ end ≤
+// n), reusing dst's storage.
+func (g *Graph) edgeOffs(d *dirRef, start, end int64, dst []int64) []int64 {
+	dst = slices.Grow(dst[:0], int(end-start+1))
+	switch {
+	case d.off != nil && g.wide:
+		for v := start; v <= end; v++ {
+			dst = append(dst, int64(binary.LittleEndian.Uint64(d.off[8*v:])))
+		}
+	case d.off != nil:
+		for v := start; v <= end; v++ {
+			dst = append(dst, int64(binary.LittleEndian.Uint32(d.off[4*v:])))
+		}
+	case d.off64 != nil:
+		for _, o := range d.off64[start : end+1] {
+			dst = append(dst, int64(o))
+		}
+	default:
+		for _, o := range d.off32[start : end+1] {
+			dst = append(dst, int64(o))
+		}
+	}
+	return dst
 }
 
 func (g *Graph) blockOff(d *dirRef, b int64) int64 {

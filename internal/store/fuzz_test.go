@@ -1,10 +1,13 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"slfe/internal/gen"
@@ -64,9 +67,48 @@ func walkAll(t *testing.T, g *Graph) {
 	}
 }
 
+// openBoth opens data sliced in memory (OpenBytes) and through the pread
+// reader; the two must agree on acceptance, and an accepted image must
+// serve the same walk (walkAll's vertices, weights included) both ways.
+func openBoth(t *testing.T, data []byte) (*Graph, error) {
+	t.Helper()
+	g, err := OpenBytes(data)
+	rg, rerr := parse(nil, bytes.NewReader(data), int64(len(data)))
+	if (err == nil) != (rerr == nil) {
+		t.Fatalf("OpenBytes error %v but reader error %v", err, rerr)
+	}
+	if err != nil {
+		return nil, err
+	}
+	limit := min(g.NumVertices(), 1<<12)
+	gc, rc := g.Cursor(), rg.Cursor()
+	for v := 0; v < limit; v++ {
+		id := graph.VertexID(v)
+		if !slices.Equal(gc.OutNeighbors(id), rc.OutNeighbors(id)) || !sameWs(gc.OutWeights(id), rc.OutWeights(id)) ||
+			!slices.Equal(gc.InNeighbors(id), rc.InNeighbors(id)) || !sameWs(gc.InWeights(id), rc.InWeights(id)) {
+			t.Fatalf("vertex %d: reader walk differs from OpenBytes walk", v)
+		}
+	}
+	return g, nil
+}
+
+// sameWs compares weights bit for bit (raw f32 sections may hold NaNs).
+func sameWs(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzSLFC throws arbitrary bytes at the decoder: OpenBytes must either
 // reject with an ErrBadFormat-wrapped error or produce a graph whose full
-// cursor walk terminates in range — never a panic, never an id >= n.
+// cursor walk terminates in range — never a panic, never an id >= n — and
+// the pread reader must serve the same walk.
 func FuzzSLFC(f *testing.F) {
 	for _, g := range []*graph.Graph{
 		graph.MustBuild(0, nil),
@@ -78,7 +120,7 @@ func FuzzSLFC(f *testing.F) {
 		f.Add(imageOf(f, g))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := OpenBytes(data)
+		g, err := openBoth(t, data)
 		if err != nil {
 			if !errors.Is(err, ErrBadFormat) {
 				t.Fatalf("open error does not wrap ErrBadFormat: %v", err)
@@ -105,7 +147,8 @@ func secStart(img []byte, idx int) int64 {
 // TestCorruptionRejected drives targeted defects through the decoder. Each
 // mutation must surface as an ErrBadFormat-wrapped error — at open for
 // structural damage, at Validate for content damage — and must never panic
-// or demand allocations the file size cannot justify.
+// or demand allocations the file size cannot justify. The pread reader must
+// reach the same verdict at open and serve the same walk.
 func TestCorruptionRejected(t *testing.T) {
 	base := imageOf(t, gen.RMAT(300, 2500, gen.DefaultRMAT, 64, 11))
 	n := int64(binary.LittleEndian.Uint64(base[8:]))
@@ -202,7 +245,7 @@ func TestCorruptionRejected(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			img := tc.mut(append([]byte(nil), base...))
-			g, err := OpenBytes(img)
+			g, err := openBoth(t, img)
 			if err != nil {
 				if !errors.Is(err, ErrBadFormat) {
 					t.Fatalf("open error does not wrap ErrBadFormat: %v", err)
