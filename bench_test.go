@@ -59,7 +59,8 @@ func BenchmarkFigure8PreprocessOverhead(b *testing.B)  { runExperiment(b, "fig8"
 func BenchmarkFigure9ComputationsPerIter(b *testing.B) { runExperiment(b, "fig9") }
 func BenchmarkFigure10Balance(b *testing.B)            { runExperiment(b, "fig10") }
 
-// Ablations beyond the paper's own artefacts (see DESIGN.md §3).
+// Ablations beyond the paper's own artefacts: each sweeps one design
+// choice of this reproduction (internal/bench/ablation.go).
 
 func BenchmarkAblationDenseThreshold(b *testing.B) { runExperiment(b, "ablation-dense") }
 func BenchmarkAblationPartition(b *testing.B)      { runExperiment(b, "ablation-partition") }

@@ -5,8 +5,8 @@
 //	slfe-bench -exp table5 -scale 1000 -nodes 8
 //	slfe-bench -exp all
 //
-// Each experiment prints an aligned text table; see EXPERIMENTS.md for the
-// paper-vs-measured record.
+// Each experiment prints an aligned text table (-out also exports raw TSV
+// series); slfe-bench -h lists the experiments.
 package main
 
 import (
@@ -22,7 +22,7 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all", "experiment to run (all | "+names()+")")
-	scale := flag.Int("scale", 1000, "dataset down-scale factor (100 = DESIGN.md default size)")
+	scale := flag.Int("scale", 1000, "dataset down-scale factor: proxies get 1/scale of the paper graph's vertices and edges")
 	nodes := flag.Int("nodes", 8, "simulated cluster size")
 	threads := flag.Int("threads", 1, "threads per node")
 	prIters := flag.Int("pr-iters", 30, "PageRank/TunkRank iterations")

@@ -54,13 +54,16 @@ func BeliefPropagation(prior func(g graph.View, v graph.VertexID) core.Value, co
 		coupling = BeliefCoupling
 	}
 	return &core.Program[float64]{
-		Name:       "BP",
-		Agg:        core.Arith,
-		InitValue:  prior,
-		GatherInit: 0,
-		Gather: func(acc core.Value, src core.Value, w float32) core.Value {
-			return acc + float64(w)*math.Tanh(src)
+		Name:      "BP",
+		Agg:       core.Arith,
+		InitValue: prior,
+		Gather: func(acc core.Value, vals []core.Value, ins []graph.VertexID, ws []float32) core.Value {
+			for i, u := range ins {
+				acc += float64(ws[i]) * math.Tanh(vals[u])
+			}
+			return acc
 		},
+		Weighted: true,
 		Apply: func(g graph.View, v graph.VertexID, acc, _ core.Value) core.Value {
 			return prior(g, v) + coupling*acc
 		},

@@ -191,6 +191,16 @@ func stableEpsFor[V core.Float]() float64 {
 	return 0
 }
 
+// sumGather is the unweighted sum Gather shared by PageRank, TunkRank,
+// NumPaths and HeatSimulation: it adds each in-neighbour's value to acc in
+// adjacency order and never reads ws.
+func sumGather[V core.Float | ~uint32](acc V, vals []V, ins []graph.VertexID, _ []float32) V {
+	for _, u := range ins {
+		acc += vals[u]
+	}
+	return acc
+}
+
 // PageRankIn follows Algorithm 5: rank = 0.15 + 0.85*sum(contributions);
 // the stored property is the *contribution* rank/outdeg (rank itself for
 // dangling vertices). Use PageRankScoresIn to recover ranks. Over float32
@@ -206,10 +216,7 @@ func PageRankIn[V core.Float](iters int) *core.Program[V] {
 			}
 			return 1.0
 		},
-		GatherInit: 0,
-		Gather: func(acc V, src V, _ float32) V {
-			return acc + src
-		},
+		Gather: sumGather[V],
 		Apply: func(g graph.View, v graph.VertexID, acc, _ V) V {
 			rank := V(0.15) + V(0.85)*acc
 			if d := g.OutDegree(v); d > 0 {
@@ -263,10 +270,7 @@ func TunkRankIn[V core.Float](iters int) *core.Program[V] {
 			}
 			return 1.0
 		},
-		GatherInit: 0,
-		Gather: func(acc V, src V, _ float32) V {
-			return acc + src
-		},
+		Gather: sumGather[V],
 		Apply: func(g graph.View, v graph.VertexID, acc, _ V) V {
 			contrib := 1 + V(TunkRankP)*acc
 			if d := g.OutDegree(v); d > 0 {
@@ -316,10 +320,7 @@ func NumPathsIn[V core.Float](root graph.VertexID, iters int) *core.Program[V] {
 			}
 			return 0
 		},
-		GatherInit: 0,
-		Gather: func(acc V, src V, _ float32) V {
-			return acc + src
-		},
+		Gather: sumGather[V],
 		Apply: func(_ graph.View, v graph.VertexID, acc, _ V) V {
 			if v == root {
 				return 1
@@ -353,10 +354,7 @@ func NumPathsU32(root graph.VertexID, iters int) *core.Program[uint32] {
 			}
 			return 0
 		},
-		GatherInit: 0,
-		Gather: func(acc uint32, src uint32, _ float32) uint32 {
-			return acc + src
-		},
+		Gather: sumGather[uint32],
 		Apply: func(_ graph.View, v graph.VertexID, acc, _ uint32) uint32 {
 			if v == root {
 				return 1
@@ -376,10 +374,13 @@ func SpMVIn[V core.Float](iters int) *core.Program[V] {
 		InitValue: func(_ graph.View, _ graph.VertexID) V {
 			return 1
 		},
-		GatherInit: 0,
-		Gather: func(acc V, src V, w float32) V {
-			return acc + src*V(w)
+		Gather: func(acc V, vals []V, ins []graph.VertexID, ws []float32) V {
+			for i, u := range ins {
+				acc += vals[u] * V(ws[i])
+			}
+			return acc
 		},
+		Weighted: true,
 		Apply: func(_ graph.View, _ graph.VertexID, acc, _ V) V {
 			return acc
 		},
@@ -455,10 +456,7 @@ func HeatSimulation(hot []graph.VertexID, iters int) *core.Program[float64] {
 			}
 			return 0
 		},
-		GatherInit: 0,
-		Gather: func(acc float64, src float64, _ float32) float64 {
-			return acc + src
-		},
+		Gather: sumGather[float64],
 		Apply: func(g graph.View, v graph.VertexID, acc, prev float64) float64 {
 			if hotSet[v] {
 				return prev // heat sources stay clamped

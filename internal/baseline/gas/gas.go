@@ -185,12 +185,8 @@ func (e *Engine) Run(p *core.Program[float64]) (*Result, error) {
 					}
 					newVal = best
 				} else {
-					acc := p.GatherInit
-					for i, u := range ins {
-						comps[th]++
-						acc = p.Gather(acc, values[u], iws[i])
-					}
-					newVal = p.Apply(e.g, vid, acc, values[vid])
+					comps[th] += int64(len(ins))
+					newVal = p.Apply(e.g, vid, p.Gather(0, values, ins, iws), values[vid])
 				}
 				scratch[v] = newVal
 				if p.Agg == core.Arith {

@@ -218,20 +218,17 @@ func Execute(g *graph.Graph, p *core.Program[float64], threads int) (*Result, er
 		for ; iters < maxIters; iters++ {
 			stat := metrics.IterStat{Iter: iters, Mode: metrics.Pull, ActiveVerts: int64(n)}
 			t0 := time.Now()
-			for v := range acc {
-				acc[v] = p.GatherInit
-			}
 			perThread := make([]int64, e.sched.Threads())
 			e.sched.Run(0, uint32(n), func(lo, hi uint32, th int) {
 				for v := lo; v < hi; v++ {
 					vid := graph.VertexID(v)
-					ins, ws := g.InNeighbors(vid), g.InWeights(vid)
-					a := p.GatherInit
-					for i, u := range ins {
-						perThread[th]++
-						a = p.Gather(a, values[u], ws[i])
+					ins := g.InNeighbors(vid)
+					var ws []float32
+					if p.Weighted {
+						ws = g.InWeights(vid)
 					}
-					acc[v] = a
+					perThread[th] += int64(len(ins))
+					acc[v] = p.Gather(0, values, ins, ws)
 				}
 			})
 			for _, c := range perThread {

@@ -110,13 +110,15 @@ func (e *Engine) Run(p *core.Program[float64]) (*Result, error) {
 	}
 	scratch := make([]core.Value, e.n)
 	acc := make([]core.Value, e.n)
+	var in1 [1]graph.VertexID
+	var w1 [1]float32
 	iters := 0
 	for iter := 0; iter < maxIters; iter++ {
 		iters++
 		stat := metrics.IterStat{Iter: iter, Mode: metrics.Pull, ActiveVerts: int64(e.n)}
 		computeStart := time.Now()
 		for v := range acc {
-			acc[v] = p.GatherInit
+			acc[v] = 0
 			scratch[v] = values[v]
 		}
 		// Stream every shard from disk (GraphChi revisits the whole graph
@@ -156,7 +158,10 @@ func (e *Engine) Run(p *core.Program[float64]) (*Result, error) {
 							scratch[dst] = cand
 						}
 					} else {
-						acc[dst] = p.Gather(acc[dst], values[src], w)
+						// GraphChi is edge-centric: fold one edge at a
+						// time through one-element slices.
+						in1[0], w1[0] = src, w
+						acc[dst] = p.Gather(acc[dst], values, in1[:], w1[:])
 					}
 				}
 				if err != nil {

@@ -15,8 +15,10 @@ import (
 	"slfe/internal/rrg"
 )
 
-// This file holds ablation studies for the design choices DESIGN.md calls
-// out, beyond the paper's own figures.
+// This file holds ablation studies for this reproduction's own design
+// choices (push/pull threshold, partitioner, delta codec, rebalancing,
+// vertex reordering, incremental and async execution, guidance reuse),
+// beyond the paper's own figures.
 
 // AblationDense sweeps the push/pull switch threshold (|E|/divisor; the
 // paper and Gemini use 20) to show the dual-mode engine's sensitivity on

@@ -4,9 +4,10 @@
 // -exp flags and bench_test.go wraps them in testing.B benchmarks.
 //
 // The seven real-world graphs are replaced by the deterministic proxies of
-// internal/gen (see DESIGN.md for the substitution argument); -scale
-// controls the down-scale factor (100 reproduces the DESIGN.md defaults,
-// 1000 runs in seconds).
+// internal/gen: R-MAT graphs with each paper graph's average degree and a
+// power-law skew, seeded from the dataset name. -scale is the down-scale
+// factor: a proxy gets 1/scale of the paper graph's vertices and edges
+// (100 is the generator's default, 1000 runs in seconds).
 package bench
 
 import (

@@ -28,8 +28,9 @@ func Table1(c Config) error {
 
 // Table2 reproduces Table 2: SSSP value updates per (reached) vertex on the
 // PowerLyra proxy and the Gemini proxy (SLFE with RR off). The paper
-// reports 6.75-12.4 (PowerLyra) and 4.51-9.91 (Gemini); per-edge Bellman-
-// Ford update counting is defined in EXPERIMENTS.md.
+// reports 6.75-12.4 (PowerLyra) and 4.51-9.91 (Gemini). An update is one
+// committed change of a vertex's value (metrics.IterStat.Updates); each
+// column divides a system's total by the vertices reachable from root 0.
 func Table2(c Config) error {
 	c.defaults()
 	tw := tabwriter.NewWriter(c.Out, 2, 4, 2, ' ', 0)
@@ -219,8 +220,8 @@ func Table5(c Config) error {
 
 // Figure5 reproduces Figure 5: SLFE's runtime improvement over the Gemini
 // proxy (SLFE with RR disabled) per application and graph. The paper
-// reports 34-47% on its cluster; EXPERIMENTS.md discusses how the margin
-// compresses at proxy scale.
+// reports 34-47% on its cluster; the down-scaled proxies run on one
+// machine, so the margin measured here is not directly comparable.
 func Figure5(c Config) error {
 	c.defaults()
 	tw := tabwriter.NewWriter(c.Out, 2, 4, 2, ' ', 0)

@@ -79,11 +79,15 @@ func TestCkptRebalanceRejectedThroughExecute(t *testing.T) {
 func TestCkptResumeThroughExecute(t *testing.T) {
 	g := gen.RMAT(512, 4096, gen.DefaultRMAT, 1, 37)
 	p := &core.Program[float64]{
-		Name:       "pr",
-		Agg:        core.Arith,
-		InitValue:  func(_ graph.View, _ graph.VertexID) core.Value { return 1 },
-		GatherInit: 0,
-		Gather:     func(acc, src core.Value, _ float32) core.Value { return acc + src },
+		Name:      "pr",
+		Agg:       core.Arith,
+		InitValue: func(_ graph.View, _ graph.VertexID) core.Value { return 1 },
+		Gather: func(acc core.Value, vals []core.Value, ins []graph.VertexID, _ []float32) core.Value {
+			for _, u := range ins {
+				acc += vals[u]
+			}
+			return acc
+		},
 		Apply: func(g graph.View, v graph.VertexID, acc, _ core.Value) core.Value {
 			if d := g.OutDegree(v); d > 0 {
 				return (0.15 + 0.85*acc) / float64(d)

@@ -63,11 +63,10 @@ func runDomainCkpt[V comparable](t *testing.T, g *graph.Graph, p *Program[V], no
 // tests.
 func f32Arith() *Program[float32] {
 	return &Program[float32]{
-		Name:       "pr32-test",
-		Agg:        Arith,
-		InitValue:  func(g graph.View, v graph.VertexID) float32 { return 1 },
-		GatherInit: 0,
-		Gather:     func(acc, src float32, _ float32) float32 { return acc + src },
+		Name:      "pr32-test",
+		Agg:       Arith,
+		InitValue: func(g graph.View, v graph.VertexID) float32 { return 1 },
+		Gather:    sumGather[float32],
 		Apply: func(g graph.View, v graph.VertexID, acc, _ float32) float32 {
 			return 0.15 + 0.85*acc/float32(g.NumVertices())
 		},

@@ -13,6 +13,14 @@ import (
 	"slfe/internal/rrg"
 )
 
+// sumGather is the unweighted sum fold the test programs share.
+func sumGather[V Float](acc V, vals []V, ins []graph.VertexID, _ []float32) V {
+	for _, u := range ins {
+		acc += vals[u]
+	}
+	return acc
+}
+
 func singleComm(t *testing.T) *comm.Comm {
 	t.Helper()
 	ts, err := comm.NewLocalGroup(1)
@@ -262,7 +270,7 @@ func TestRRSuppressesWork(t *testing.T) {
 	}
 	// RR trades suppressed pullFunc invocations for one catch-up scan per
 	// vertex; on this graph it must stay within a modest factor of the
-	// baseline (the win grows with propagation depth, see EXPERIMENTS.md).
+	// baseline (the win grows with propagation depth).
 	if rr.Metrics.Computations() > 2*base.Metrics.Computations() {
 		t.Errorf("RR cost blew up: base %d vs rr %d",
 			base.Metrics.Computations(), rr.Metrics.Computations())
@@ -343,13 +351,12 @@ func TestMaxItersBoundsArith(t *testing.T) {
 	part, _ := partition.NewChunked(g, 1)
 	eng, _ := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part})
 	p := &Program[float64]{
-		Name:       "pr",
-		Agg:        Arith,
-		InitValue:  func(graph.View, graph.VertexID) Value { return 1 },
-		GatherInit: 0,
-		Gather:     func(acc, src Value, _ float32) Value { return acc + src },
-		Apply:      func(_ graph.View, _ graph.VertexID, acc, _ Value) Value { return 0.5 * acc },
-		MaxIters:   7,
+		Name:      "pr",
+		Agg:       Arith,
+		InitValue: func(graph.View, graph.VertexID) Value { return 1 },
+		Gather:    sumGather[Value],
+		Apply:     func(_ graph.View, _ graph.VertexID, acc, _ Value) Value { return 0.5 * acc },
+		MaxIters:  7,
 	}
 	res, err := eng.Run(p)
 	if err != nil {
@@ -365,14 +372,13 @@ func TestEpsilonTerminatesArith(t *testing.T) {
 	part, _ := partition.NewChunked(g, 1)
 	eng, _ := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part})
 	p := &Program[float64]{
-		Name:       "decay",
-		Agg:        Arith,
-		InitValue:  func(graph.View, graph.VertexID) Value { return 1 },
-		GatherInit: 0,
-		Gather:     func(acc, src Value, _ float32) Value { return acc },
-		Apply:      func(_ graph.View, _ graph.VertexID, _, prev Value) Value { return prev / 2 },
-		MaxIters:   1000,
-		Epsilon:    1e-3,
+		Name:      "decay",
+		Agg:       Arith,
+		InitValue: func(graph.View, graph.VertexID) Value { return 1 },
+		Gather:    func(acc Value, _ []Value, _ []graph.VertexID, _ []float32) Value { return acc },
+		Apply:     func(_ graph.View, _ graph.VertexID, _, prev Value) Value { return prev / 2 },
+		MaxIters:  1000,
+		Epsilon:   1e-3,
 	}
 	res, err := eng.Run(p)
 	if err != nil {

@@ -25,6 +25,10 @@ type arithKernel[V comparable] struct {
 	scratch   []V
 	slack     uint32
 	maxIters  int
+	// rr and lastIter hoist Config.RR and Guidance.LastIter (nil without
+	// RR) out of the per-vertex loops.
+	rr       bool
+	lastIter []uint32
 
 	comps, suppressed []int64 // per-thread counters
 	maxLocalDelta     float64
@@ -49,6 +53,9 @@ func newArithKernel[V comparable](e *Engine[V], p *Program[V], st *state[V], cha
 		suppressed: make([]int64, threads),
 	}
 	copy(k.stableVal, st.values)
+	if e.cfg.RR {
+		k.rr, k.lastIter = true, e.cfg.Guidance.LastIter
+	}
 	// A vertex is early-converged once its stability streak strictly
 	// exceeds its lastIter (§2.2: "x > its maximum/latest propagation
 	// level"; Algorithm 5's pseudo-code tests stableCnt < lastIter, but the
@@ -66,7 +73,7 @@ func newArithKernel[V comparable](e *Engine[V], p *Program[V], st *state[V], cha
 
 // ecFrozen reports whether v's stability streak has outlived its guidance.
 func (k *arithKernel[V]) ecFrozen(v graph.VertexID) bool {
-	return k.stableCnt[v] >= k.e.cfg.Guidance.LastIter[v]+k.slack
+	return k.stableCnt[v] >= k.lastIter[v]+k.slack
 }
 
 func (k *arithKernel[V]) kind() ckpt.Kind          { return ckpt.Arith }
@@ -114,9 +121,15 @@ func (k *arithKernel[V]) compute(_ int, _ *metrics.IterStat) error {
 }
 
 // computeChunk gathers and applies one chunk of the owned range into
-// scratch (BSP-pure).
+// scratch (BSP-pure). Each computed vertex costs one Gather call over its
+// whole in-adjacency. Counts accumulate chunk-locally and reach the
+// per-thread slots once per chunk, so threads do not contend for the
+// slots' shared cache line.
 func (k *arithKernel[V]) computeChunk(clo, chi uint32, th int) {
 	e, p, st := k.e, k.p, k.st
+	cur := e.curs[th]
+	var zero V
+	var comps, suppressed int64
 	for v := clo; v < chi; v++ {
 		vid := graph.VertexID(v)
 		// Algorithm 5 line 15: compute only while the stability
@@ -125,16 +138,17 @@ func (k *arithKernel[V]) computeChunk(clo, chi uint32, th int) {
 		// reused ("finish early"). The +slack also guarantees every
 		// vertex computes at least once before freezing (vertices
 		// with no reachable in-neighbours have LastIter 0).
-		if e.cfg.RR && k.ecFrozen(vid) {
-			k.suppressed[th]++
+		if k.rr && k.ecFrozen(vid) {
+			suppressed++
 			continue
 		}
-		acc := p.GatherInit
-		ins, ws := e.curs[th].InNeighbors(vid), e.curs[th].InWeights(vid)
-		for i, u := range ins {
-			acc = p.Gather(acc, st.values[u], ws[i])
-			k.comps[th]++
+		ins := cur.InNeighbors(vid)
+		var ws []float32
+		if p.Weighted {
+			ws = cur.InWeights(vid)
 		}
+		acc := p.Gather(zero, st.values, ins, ws)
+		comps += int64(len(ins))
 		k.scratch[v] = p.Apply(e.g, vid, acc, st.values[vid])
 		// Mark the change at compute time (the same |Δ| > 0 test commit
 		// applies), so the overlapped pipeline can emit this chunk's deltas
@@ -143,6 +157,8 @@ func (k *arithKernel[V]) computeChunk(clo, chi uint32, th int) {
 			k.changed.Set(int(v))
 		}
 	}
+	k.comps[th] += comps
+	k.suppressed[th] += suppressed
 }
 
 // commit is vertexUpdate (Algorithm 5 lines 13-18): stability bookkeeping
@@ -150,7 +166,7 @@ func (k *arithKernel[V]) computeChunk(clo, chi uint32, th int) {
 func (k *arithKernel[V]) commit(_ int, stat *metrics.IterStat) error {
 	e, p, st := k.e, k.p, k.st
 	for v := e.lo; v < e.hi; v++ {
-		if e.cfg.RR && k.ecFrozen(graph.VertexID(v)) {
+		if k.rr && k.ecFrozen(graph.VertexID(v)) {
 			continue
 		}
 		newVal := k.scratch[v]
@@ -184,7 +200,7 @@ func (k *arithKernel[V]) stepEnd(_ int, stat *metrics.IterStat) (bool, error) {
 		return false, err
 	}
 	var localEC int64
-	if e.cfg.RR {
+	if k.rr {
 		for v := e.lo; v < e.hi; v++ {
 			if k.ecFrozen(graph.VertexID(v)) {
 				localEC++
@@ -199,7 +215,7 @@ func (k *arithKernel[V]) stepEnd(_ int, stat *metrics.IterStat) (bool, error) {
 	if p.Epsilon > 0 && maxDelta <= p.Epsilon {
 		return true, nil
 	}
-	if e.cfg.RR && k.ecCount == int64(e.g.NumVertices()) {
+	if k.rr && k.ecCount == int64(e.g.NumVertices()) {
 		return true, nil
 	}
 	return false, nil

@@ -226,10 +226,13 @@ func (k *minmaxKernel[V]) compute(iter int, _ *metrics.IterStat) error {
 }
 
 // computePullChunk stages improvements in scratch (BSP-pure, race-free) for
-// one chunk of the owned range; commit applies them.
+// one chunk of the owned range; commit applies them. Counts accumulate
+// chunk-locally and reach the per-thread slots once per chunk, so threads
+// do not contend for the slots' shared cache line.
 func (k *minmaxKernel[V]) computePullChunk(clo, chi uint32, th int) {
 	e, p, st := k.e, k.p, k.st
 	ruler := k.ruler
+	var comps, suppressed, catchups int64
 	for v := clo; v < chi; v++ {
 		vid := graph.VertexID(v)
 		ins, iws := e.curs[th].InNeighbors(vid), e.curs[th].InWeights(vid)
@@ -244,7 +247,7 @@ func (k *minmaxKernel[V]) computePullChunk(clo, chi uint32, th int) {
 			// activity probe is bitmap bookkeeping, not a §2.2
 			// computation.
 			if ruler < e.cfg.Guidance.LastIter[v] {
-				k.suppressed[th]++
+				suppressed++
 				if !k.debt.Get(int(v)) && hasActiveIn(k.front, ins) {
 					k.debt.Set(int(v))
 				}
@@ -259,13 +262,13 @@ func (k *minmaxKernel[V]) computePullChunk(clo, chi uint32, th int) {
 				// repays the updates suppression skipped.
 				best := st.values[vid]
 				for i, u := range ins {
-					k.comps[th]++
+					comps++
 					cand := k.relax(u, st.values[u], iws[i])
 					if p.Better(cand, best) {
 						best = cand
 					}
 				}
-				k.catchups[th]++
+				catchups++
 				k.debt.Clear(int(v))
 				if p.Better(best, st.values[vid]) {
 					k.scratch[v] = best
@@ -289,7 +292,7 @@ func (k *minmaxKernel[V]) computePullChunk(clo, chi uint32, th int) {
 			if !k.front.Get(int(u)) {
 				continue
 			}
-			k.comps[th]++
+			comps++
 			cand := k.relax(u, st.values[u], iws[i])
 			if p.Better(cand, best) {
 				best = cand
@@ -300,6 +303,9 @@ func (k *minmaxKernel[V]) computePullChunk(clo, chi uint32, th int) {
 			k.changed.Set(int(v))
 		}
 	}
+	k.comps[th] += comps
+	k.suppressed[th] += suppressed
+	k.catchups[th] += catchups
 }
 
 // computePush is source-side push with sender-side combining. The default
@@ -363,6 +369,7 @@ func (k *minmaxKernel[V]) computePushMap() {
 	}
 	wsStats := e.sched.Run(uint32(e.lo), uint32(e.hi), func(clo, chi uint32, th int) {
 		pm := k.props[th]
+		comps := int64(0)
 		for v := clo; v < chi; v++ {
 			if !k.front.Get(int(v)) {
 				continue
@@ -371,12 +378,13 @@ func (k *minmaxKernel[V]) computePushMap() {
 			outs, ows := e.curs[th].OutNeighbors(vid), e.curs[th].OutWeights(vid)
 			for i, u := range outs {
 				cand := k.relax(vid, st.values[vid], ows[i])
-				k.comps[th]++
+				comps++
 				if prev, ok := pm[u]; !ok || p.Better(cand, prev) {
 					pm[u] = cand
 				}
 			}
 		}
+		k.comps[th] += comps
 	})
 	st.run.Steals += wsStats.Steals
 }
@@ -385,10 +393,12 @@ func (k *minmaxKernel[V]) computePushMap() {
 // range; each committed value change is one "update" (the Table 2 metric).
 func (k *minmaxKernel[V]) commitPullChunk(clo, chi uint32, th int) {
 	it := k.changed.IterIn(int(clo), int(chi))
+	updates := int64(0)
 	for v := it.Next(); v >= 0; v = it.Next() {
 		k.st.values[v] = k.scratch[v]
-		k.updates[th]++
+		updates++
 	}
+	k.updates[th] += updates
 }
 
 func (k *minmaxKernel[V]) commit(_ int, stat *metrics.IterStat) error {

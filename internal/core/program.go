@@ -84,10 +84,18 @@ type Program[V comparable] struct {
 
 	// --- Arith hooks ---
 
-	// GatherInit is the accumulator's identity value (0 for sum).
-	GatherInit V
-	// Gather folds one in-edge into the accumulator (PR: acc + srcVal).
-	Gather func(acc V, srcVal V, w float32) V
+	// Gather folds the in-edges (ins[i], ws[i]) into acc in slice order,
+	// reading each source's value from vals (PR: acc += vals[ins[i]]). The
+	// engine calls it once per computed vertex with acc = V's zero value
+	// and the vertex's whole in-adjacency; an edge-at-a-time caller passes
+	// one-element slices. Folding a batch must be bit-identical to folding
+	// its edges one by one, left to right.
+	Gather func(acc V, vals []V, ins []graph.VertexID, ws []float32) V
+	// Weighted declares that Gather reads ws. When it is false the engine
+	// never fetches in-edge weights (on a disk-backed graph their section
+	// is never decoded) and passes ws == nil; when it is true ws is
+	// parallel to ins.
+	Weighted bool
 	// Apply is the vertexUpdate vOp: combines the accumulator and the
 	// vertex's previous property into its next property
 	// (PR: (0.15+0.85*acc)/outdeg, ignoring prev).

@@ -65,7 +65,7 @@ func testArith() *Program[float64] {
 			}
 			return 1.0
 		},
-		Gather: func(acc, src Value, _ float32) Value { return acc + src },
+		Gather: sumGather[Value],
 		Apply: func(g graph.View, v graph.VertexID, acc, _ Value) Value {
 			rank := 0.15 + 0.85*acc
 			if d := g.OutDegree(v); d > 0 {

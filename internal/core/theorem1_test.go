@@ -108,7 +108,12 @@ func TestFinishEarlyOnlySkipsRepeats(t *testing.T) {
 				}
 				return 0
 			},
-			Gather: func(acc, src Value, _ float32) Value { return acc + math.Min(src, 1) },
+			Gather: func(acc Value, vals []Value, ins []graph.VertexID, _ []float32) Value {
+				for _, u := range ins {
+					acc += math.Min(vals[u], 1)
+				}
+				return acc
+			},
 			Apply: func(_ graph.View, v graph.VertexID, acc, _ Value) Value {
 				if v == 0 {
 					return 1
