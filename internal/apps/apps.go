@@ -39,9 +39,10 @@ func SSSPIn[V core.Float](root graph.VertexID) *core.Program[V] {
 			}
 			return V(Inf)
 		},
-		Roots:  []graph.VertexID{root},
-		Relax:  func(src V, w float32) V { return src + V(w) },
-		Better: func(a, b V) bool { return a < b },
+		Roots:    []graph.VertexID{root},
+		Relax:    func(src V, w float32) V { return src + V(w) },
+		Better:   func(a, b V) bool { return a < b },
+		Weighted: true,
 	}
 }
 
@@ -56,6 +57,7 @@ func BFSIn[V core.Float](root graph.VertexID) *core.Program[V] {
 	p := SSSPIn[V](root)
 	p.Name = "BFS"
 	p.Relax = func(src V, _ float32) V { return src + 1 }
+	p.Weighted = false
 	return p
 }
 
@@ -160,7 +162,8 @@ func WPIn[V core.Float](root graph.VertexID) *core.Program[V] {
 			}
 			return src
 		},
-		Better: func(a, b V) bool { return a > b },
+		Better:   func(a, b V) bool { return a > b },
+		Weighted: true,
 	}
 }
 
@@ -434,6 +437,7 @@ func SSSPTree(root graph.VertexID) *core.Program[core.DistParent] {
 			}
 			return a.Parent < b.Parent
 		},
+		Weighted: true,
 	}
 }
 

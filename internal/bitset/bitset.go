@@ -208,6 +208,51 @@ func (b *Atomic) Clear(i int) {
 	}
 }
 
+// Batch collects bits bound for an Atomic bitset in a register and
+// publishes each 64-bit word with one atomic OR. A writer that sets bits in
+// ascending order, such as a worker walking its chunk of vertices, pays
+// one atomic operation per word instead of one CAS loop per bit. A Batch
+// is a plain value for one goroutine; its bits are visible in the bitset
+// only after Flush.
+type Batch struct {
+	b    *Atomic
+	wi   int
+	mask uint64
+}
+
+// Batch returns an empty batch writing into b.
+func (b *Atomic) Batch() Batch { return Batch{b: b} }
+
+// Set records bit i, first flushing the bits of another word.
+func (w *Batch) Set(i int) {
+	if wi := i / wordBits; wi != w.wi {
+		w.Flush()
+		w.wi = wi
+	}
+	w.mask |= 1 << (uint(i) % wordBits)
+}
+
+// Flush publishes the recorded bits.
+func (w *Batch) Flush() {
+	if w.mask != 0 {
+		w.b.words[w.wi].Or(w.mask)
+		w.mask = 0
+	}
+}
+
+// Or sets b to b|other word by word. Panics if sizes differ. Not safe
+// concurrently with writers of either bitset.
+func (b *Atomic) Or(other *Atomic) {
+	if b.n != other.n {
+		panic("bitset: size mismatch in Or")
+	}
+	for i := range other.words {
+		if w := other.words[i].Load(); w != 0 {
+			b.words[i].Store(b.words[i].Load() | w)
+		}
+	}
+}
+
 // Get reports whether bit i is set.
 func (b *Atomic) Get(i int) bool {
 	return b.words[i/wordBits].Load()&(1<<(uint(i)%wordBits)) != 0

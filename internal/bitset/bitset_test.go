@@ -181,6 +181,83 @@ func TestAtomicConcurrentSet(t *testing.T) {
 	}
 }
 
+// TestAtomicBatchConcurrent: writers sharing words publish disjoint bits
+// of them through Batch; none may be lost, whatever order the bits arrive
+// in, and no bit is visible before its Flush.
+func TestAtomicBatchConcurrent(t *testing.T) {
+	const n = 4096 + 37
+	b := NewAtomic(n)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			w := b.Batch()
+			for i := g; i < n; i += 8 {
+				w.Set(i)
+			}
+			if g == 0 {
+				w.Set(3) // out of order: flushes and reopens word 0
+			}
+			w.Flush()
+		}(g)
+	}
+	wg.Wait()
+	if got := b.Count(); got != n {
+		t.Fatalf("concurrent batches lost bits: Count = %d, want %d", got, n)
+	}
+	w := b.Batch()
+	w.Flush() // an empty flush is a no-op
+	if got := b.Count(); got != n {
+		t.Fatalf("empty flush changed Count to %d", got)
+	}
+	c := NewAtomic(200)
+	w = c.Batch()
+	for _, i := range []int{5, 70, 71, 199} {
+		w.Set(i)
+	}
+	if c.Get(199) {
+		t.Fatal("bit visible before Flush")
+	}
+	w.Flush()
+	for _, i := range []int{5, 70, 71, 199} {
+		if !c.Get(i) {
+			t.Fatalf("bit %d clear after Flush", i)
+		}
+	}
+	if got := c.Count(); got != 4 {
+		t.Fatalf("Count = %d, want 4", got)
+	}
+}
+
+func TestAtomicOr(t *testing.T) {
+	a, b := NewAtomic(200), NewAtomic(200)
+	for _, i := range []int{0, 63, 64, 150} {
+		a.Set(i)
+	}
+	for _, i := range []int{1, 64, 199} {
+		b.Set(i)
+	}
+	a.Or(b)
+	for _, i := range []int{0, 1, 63, 64, 150, 199} {
+		if !a.Get(i) {
+			t.Fatalf("bit %d clear after Or", i)
+		}
+	}
+	if got := a.Count(); got != 6 {
+		t.Fatalf("Count after Or = %d, want 6", got)
+	}
+	if got := b.Count(); got != 3 {
+		t.Fatalf("Or modified its argument: Count = %d, want 3", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Or of mismatched sizes did not panic")
+		}
+	}()
+	a.Or(NewAtomic(10))
+}
+
 func TestAtomicTestAndSetExactlyOnce(t *testing.T) {
 	const n = 1024
 	b := NewAtomic(n)

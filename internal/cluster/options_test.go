@@ -20,9 +20,10 @@ func ssspProgram() *core.Program[float64] {
 			}
 			return 1e300
 		},
-		Roots:  []graph.VertexID{0},
-		Relax:  func(src core.Value, w float32) core.Value { return src + float64(w) },
-		Better: func(a, b core.Value) bool { return a < b },
+		Roots:    []graph.VertexID{0},
+		Relax:    func(src core.Value, w float32) core.Value { return src + float64(w) },
+		Better:   func(a, b core.Value) bool { return a < b },
+		Weighted: true,
 	}
 }
 

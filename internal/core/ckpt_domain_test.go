@@ -165,7 +165,7 @@ func TestCheckpointRejectsWrongDomainTag(t *testing.T) {
 	// Write checkpoints with the f64 arith loop.
 	f64prog := testArith()
 	f64prog.Name = "shared-name"
-	if _, errs := runWithCkpt(t, g, f64prog, 2, m, -1, 0); errs[0] != nil {
+	if _, errs := runWithCkpt(t, g, f64prog, 2, m, -1, 0, nil); errs[0] != nil {
 		t.Fatal(errs[0])
 	}
 

@@ -10,12 +10,14 @@ import (
 	"slfe/internal/gen"
 	"slfe/internal/graph"
 	"slfe/internal/partition"
+	"slfe/internal/rrg"
 )
 
 // runWithCkpt executes p on nodes workers with the given checkpoint
 // manager; rank failRank's transport dies after failAfter sends (failRank
-// < 0 disables injection). Returns worker results and errors.
-func runWithCkpt(t *testing.T, g *graph.Graph, p *Program[float64], nodes int, m *ckpt.Manager, failRank, failAfter int) ([]*Result[float64], []error) {
+// < 0 disables injection). A non-nil gd turns redundancy reduction on.
+// Returns worker results and errors.
+func runWithCkpt(t *testing.T, g *graph.Graph, p *Program[float64], nodes int, m *ckpt.Manager, failRank, failAfter int, gd *rrg.Guidance) ([]*Result[float64], []error) {
 	t.Helper()
 	part, err := partition.NewChunked(g, nodes)
 	if err != nil {
@@ -36,7 +38,7 @@ func runWithCkpt(t *testing.T, g *graph.Graph, p *Program[float64], nodes int, m
 			if rank == failRank {
 				tr = &flakyTransport{Transport: tr, remaining: failAfter}
 			}
-			eng, err := New[float64](Config{Graph: g, Comm: comm.NewComm(tr), Part: part, Ckpt: m})
+			eng, err := New[float64](Config{Graph: g, Comm: comm.NewComm(tr), Part: part, Ckpt: m, RR: gd != nil, Guidance: gd})
 			if err != nil {
 				errs[rank] = err
 				comm.Abort(transports[rank])
@@ -66,7 +68,7 @@ func TestCheckpointResumeArith(t *testing.T) {
 	dir := t.TempDir()
 	m := &ckpt.Manager{Dir: dir, Every: 3}
 	// Crash partway: rank 1 dies after enough sends for a few supersteps.
-	_, errs := runWithCkpt(t, g, p, 3, m, 1, 40)
+	_, errs := runWithCkpt(t, g, p, 3, m, 1, 40, nil)
 	if errs[1] == nil {
 		t.Skip("injection did not trigger; adjust failAfter")
 	}
@@ -80,7 +82,7 @@ func TestCheckpointResumeArith(t *testing.T) {
 
 	// Resume with healthy transports.
 	m.Resume = true
-	results, errs := runWithCkpt(t, g, p, 3, m, -1, 0)
+	results, errs := runWithCkpt(t, g, p, 3, m, -1, 0, nil)
 	for rank, err := range errs {
 		if err != nil {
 			t.Fatalf("resume rank %d: %v", rank, err)
@@ -105,7 +107,7 @@ func TestCheckpointResumeMinMax(t *testing.T) {
 
 	dir := t.TempDir()
 	m := &ckpt.Manager{Dir: dir, Every: 1}
-	_, errs := runWithCkpt(t, g, p, 3, m, 1, 12)
+	_, errs := runWithCkpt(t, g, p, 3, m, 1, 12, nil)
 	if errs[1] == nil {
 		t.Skip("injection did not trigger; adjust failAfter")
 	}
@@ -118,7 +120,7 @@ func TestCheckpointResumeMinMax(t *testing.T) {
 	}
 
 	m.Resume = true
-	results, errs := runWithCkpt(t, g, p, 3, m, -1, 0)
+	results, errs := runWithCkpt(t, g, p, 3, m, -1, 0, nil)
 	for rank, err := range errs {
 		if err != nil {
 			t.Fatalf("resume rank %d: %v", rank, err)
@@ -132,11 +134,59 @@ func TestCheckpointResumeMinMax(t *testing.T) {
 	}
 }
 
+// TestCheckpointResumeMinMaxRR: a start-late run resumed from a checkpoint
+// must repeat the uninterrupted run's supersteps exactly — the same
+// values and, superstep by superstep, the same relaxations and catch-ups.
+// The shard does not carry the set of sources ever active; restore
+// rebuilds it from the values, and a wrong rebuild changes what catch-up
+// scans relax.
+func TestCheckpointResumeMinMaxRR(t *testing.T) {
+	g := gen.RMAT(2048, 16384, gen.DefaultRMAT, 32, 43)
+	p := testProgram()
+	gd := rrg.Generate(g, p.Roots, nil)
+	want := runCluster(t, g, p, 3, func(_ int, cfg *Config) { cfg.RR, cfg.Guidance = true, gd })
+
+	m := &ckpt.Manager{Dir: t.TempDir(), Every: 1}
+	_, errs := runWithCkpt(t, g, p, 3, m, 1, 12, gd)
+	if errs[1] == nil {
+		t.Skip("injection did not trigger; adjust failAfter")
+	}
+	if latest, err := m.LatestComplete(3); err != nil || latest < 0 {
+		t.Fatalf("no complete checkpoint before the crash (latest %d, %v)", latest, err)
+	}
+	m.Resume = true
+	results, errs := runWithCkpt(t, g, p, 3, m, -1, 0, gd)
+	for rank, err := range errs {
+		if err != nil {
+			t.Fatalf("resume rank %d: %v", rank, err)
+		}
+	}
+	got := results[0]
+	for v := range want.Values {
+		if got.Values[v] != want.Values[v] {
+			t.Fatalf("vertex %d: resumed %v, want %v", v, got.Values[v], want.Values[v])
+		}
+	}
+	tail := want.Metrics.Iters[len(want.Metrics.Iters)-len(got.Metrics.Iters):]
+	var catchups int64
+	for i, s := range got.Metrics.Iters {
+		w := tail[i]
+		if s.Iter != w.Iter || s.Computations != w.Computations || s.CatchUps != w.CatchUps {
+			t.Fatalf("resumed superstep %d: iter/relaxations/catch-ups %d/%d/%d, uninterrupted %d/%d/%d",
+				i, s.Iter, s.Computations, s.CatchUps, w.Iter, w.Computations, w.CatchUps)
+		}
+		catchups += s.CatchUps
+	}
+	if catchups == 0 {
+		t.Fatal("no catch-up scan ran after the resume; the test does not exercise the rebuilt set")
+	}
+}
+
 func TestCheckpointResumeIsNoOpWithoutCheckpoints(t *testing.T) {
 	g := gen.Path(64)
 	p := testProgram()
 	m := &ckpt.Manager{Dir: t.TempDir(), Resume: true}
-	results, errs := runWithCkpt(t, g, p, 2, m, -1, 0)
+	results, errs := runWithCkpt(t, g, p, 2, m, -1, 0, nil)
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
@@ -153,13 +203,13 @@ func TestCheckpointResumeIsNoOpWithoutCheckpoints(t *testing.T) {
 func TestCheckpointRejectsWrongProgram(t *testing.T) {
 	g := gen.Path(32)
 	m := &ckpt.Manager{Dir: t.TempDir(), Every: 1}
-	if _, errs := runWithCkpt(t, g, testProgram(), 2, m, -1, 0); errs[0] != nil {
+	if _, errs := runWithCkpt(t, g, testProgram(), 2, m, -1, 0, nil); errs[0] != nil {
 		t.Fatal(errs[0])
 	}
 	m.Resume = true
 	other := testProgram()
 	other.Name = "something-else"
-	_, errs := runWithCkpt(t, g, other, 2, m, -1, 0)
+	_, errs := runWithCkpt(t, g, other, 2, m, -1, 0, nil)
 	if errs[0] == nil && errs[1] == nil {
 		t.Fatal("checkpoint for a different program accepted")
 	}

@@ -40,9 +40,10 @@ func testProgram() *Program[float64] {
 			}
 			return math.Inf(1)
 		},
-		Roots:  []graph.VertexID{0},
-		Relax:  func(src Value, w float32) Value { return src + float64(w) },
-		Better: func(a, b Value) bool { return a < b },
+		Roots:    []graph.VertexID{0},
+		Relax:    func(src Value, w float32) Value { return src + float64(w) },
+		Better:   func(a, b Value) bool { return a < b },
+		Weighted: true,
 	}
 }
 
@@ -277,6 +278,61 @@ func TestRRSuppressesWork(t *testing.T) {
 	}
 }
 
+// TestCatchUpSkipsNeverActiveSources: a catch-up scan relaxes only the
+// in-edges whose source has been in some frontier. Vertex 2's in-neighbour
+// 3 is unreachable and never active, so the baseline never relaxes 3->2,
+// and the catch-up must not either. Pull is forced; per superstep:
+//
+//	0: vertices 1 and 2 are suppressed and owe debt          0 relaxations
+//	1: vertex 1 catches up over 0->1                          1
+//	2: vertex 2 catches up over 0->2 and 1->2, not 3->2       2
+//	3: vertex 2's update reaches no out-edge                  0
+func TestCatchUpSkipsNeverActiveSources(t *testing.T) {
+	g := graph.MustBuild(4, []graph.Edge{
+		{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 2, Weight: 1},
+		{Src: 0, Dst: 2, Weight: 5}, {Src: 3, Dst: 2, Weight: 1},
+	})
+	part, _ := partition.NewChunked(g, 1)
+	gd := &rrg.Guidance{LastIter: []uint32{0, 1, 2, 0}, Level: []uint32{0, 1, 1, rrg.Unreached}}
+	run := func(rr bool) *Result[float64] {
+		eng, err := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part, RR: rr, Guidance: gd,
+			DenseDivisor: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Run(testProgram())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	base, rr := run(false), run(true)
+	for v, want := range []Value{0, 1, 2, math.Inf(1)} {
+		if base.Values[v] != want || rr.Values[v] != want {
+			t.Fatalf("vertex %d: %v without RR, %v with RR, want %v", v, base.Values[v], rr.Values[v], want)
+		}
+	}
+	want := []int64{0, 1, 2, 0}
+	if len(rr.Metrics.Iters) != len(want) {
+		t.Fatalf("RR run took %d supersteps, want %d", len(rr.Metrics.Iters), len(want))
+	}
+	for i, s := range rr.Metrics.Iters {
+		if s.Computations != want[i] {
+			t.Errorf("superstep %d: %d relaxations, want %d", i, s.Computations, want[i])
+		}
+	}
+	var catchups int64
+	for _, s := range rr.Metrics.Iters {
+		catchups += s.CatchUps
+	}
+	if catchups != 2 {
+		t.Errorf("%d catch-ups, want 2", catchups)
+	}
+	if b, r := base.Metrics.Computations(), rr.Metrics.Computations(); r > b {
+		t.Errorf("RR relaxed %d edges, the baseline %d", r, b)
+	}
+}
+
 func TestRRWidestPathReducesComputations(t *testing.T) {
 	// The paper's Figure 1 redundancy pattern, generalised: a hub whose
 	// value improves once per iteration (each chain vertex offers a wider
@@ -311,9 +367,10 @@ func TestRRWidestPathReducesComputations(t *testing.T) {
 			}
 			return 0
 		},
-		Roots:  []graph.VertexID{0},
-		Relax:  func(src Value, w float32) Value { return math.Min(src, float64(w)) },
-		Better: func(a, b Value) bool { return a > b },
+		Roots:    []graph.VertexID{0},
+		Relax:    func(src Value, w float32) Value { return math.Min(src, float64(w)) },
+		Better:   func(a, b Value) bool { return a > b },
+		Weighted: true,
 	}
 	run := func(rr bool) *Result[float64] {
 		eng, err := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part, RR: rr, Guidance: gd,

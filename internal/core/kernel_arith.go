@@ -30,13 +30,16 @@ type arithKernel[V comparable] struct {
 	rr       bool
 	lastIter []uint32
 
-	comps, suppressed []int64 // per-thread counters
-	maxLocalDelta     float64
-	ecCount           int64
+	// Per-thread counters and local max delta, each written once per
+	// chunk. ec counts early-converged owned vertices: those frozen
+	// before the superstep plus those its stability update froze.
+	comps, suppressed, updates, ec []int64
+	maxDelta                       []float64
+	ecCount                        int64
 
-	// Pre-created compute body, so dispatching a superstep allocates
-	// nothing.
-	gatherBody func(clo, chi uint32, thread int)
+	// Pre-created compute and commit bodies, so dispatching a superstep
+	// allocates nothing.
+	gatherBody, commitBody func(clo, chi uint32, thread int)
 }
 
 func newArithKernel[V comparable](e *Engine[V], p *Program[V], st *state[V], changed *bitset.Atomic) *arithKernel[V] {
@@ -51,6 +54,9 @@ func newArithKernel[V comparable](e *Engine[V], p *Program[V], st *state[V], cha
 		maxIters:   p.maxItersOrDefault(),
 		comps:      make([]int64, threads),
 		suppressed: make([]int64, threads),
+		updates:    make([]int64, threads),
+		ec:         make([]int64, threads),
+		maxDelta:   make([]float64, threads),
 	}
 	copy(k.stableVal, st.values)
 	if e.cfg.RR {
@@ -68,6 +74,7 @@ func newArithKernel[V comparable](e *Engine[V], p *Program[V], st *state[V], cha
 		k.slack = uint32(p.ECSlack)
 	}
 	k.gatherBody = k.computeChunk
+	k.commitBody = k.commitChunk
 	return k
 }
 
@@ -104,9 +111,9 @@ func (k *arithKernel[V]) stepBegin(iter *int, stat *metrics.IterStat) (bool, err
 	stat.Mode = metrics.Pull
 	stat.ActiveVerts = int64(k.e.g.NumVertices())
 	for t := range k.comps {
-		k.comps[t], k.suppressed[t] = 0, 0
+		k.comps[t], k.suppressed[t], k.updates[t], k.ec[t] = 0, 0, 0, 0
+		k.maxDelta[t] = 0
 	}
-	k.maxLocalDelta = 0
 	return false, nil
 }
 
@@ -120,16 +127,25 @@ func (k *arithKernel[V]) compute(_ int, _ *metrics.IterStat) error {
 	return nil
 }
 
-// computeChunk gathers and applies one chunk of the owned range into
-// scratch (BSP-pure). Each computed vertex costs one Gather call over its
-// whole in-adjacency. Counts accumulate chunk-locally and reach the
-// per-thread slots once per chunk, so threads do not contend for the
-// slots' shared cache line.
+// computeChunk runs one chunk of the owned range through the whole of
+// Algorithm 5 for each vertex: gather and apply into scratch (BSP-pure:
+// the value array is only read), then vertexUpdate — the stability streak,
+// the |Δ| > 0 change test and the early-converged count. Each computed
+// vertex costs one Gather call over its whole in-adjacency. Changed
+// vertices collect in a bitset.Batch, which reaches the changed set with
+// one atomic OR per 64-vertex word before the chunk returns, so the
+// overlapped pipeline can emit the chunk's deltas right away. Counts
+// accumulate chunk-locally and reach the per-thread slots once per chunk,
+// so threads do not contend for the slots' shared cache line.
 func (k *arithKernel[V]) computeChunk(clo, chi uint32, th int) {
-	e, p, st := k.e, k.p, k.st
-	cur := e.curs[th]
+	e, p := k.e, k.p
+	cur, vals := e.curs[th], k.st.values
+	scratch, stableCnt, stableVal := k.scratch, k.stableCnt, k.stableVal
+	proj, delta := e.dom.Float64, e.dom.Delta
 	var zero V
-	var comps, suppressed int64
+	var comps, suppressed, frozen int64
+	var maxDelta float64
+	changed := k.changed.Batch()
 	for v := clo; v < chi; v++ {
 		vid := graph.VertexID(v)
 		// Algorithm 5 line 15: compute only while the stability
@@ -147,65 +163,65 @@ func (k *arithKernel[V]) computeChunk(clo, chi uint32, th int) {
 		if p.Weighted {
 			ws = cur.InWeights(vid)
 		}
-		acc := p.Gather(zero, st.values, ins, ws)
+		acc := p.Gather(zero, vals, ins, ws)
 		comps += int64(len(ins))
-		k.scratch[v] = p.Apply(e.g, vid, acc, st.values[vid])
-		// Mark the change at compute time (the same |Δ| > 0 test commit
-		// applies), so the overlapped pipeline can emit this chunk's deltas
-		// before the commit barrier. Commit's own Set is then idempotent.
-		if e.dom.Delta(st.values[v], k.scratch[v]) > 0 {
-			k.changed.Set(int(v))
+		newVal := p.Apply(e.g, vid, acc, vals[v])
+		scratch[v] = newVal
+		// vertexUpdate (Algorithm 5 lines 13-18).
+		if p.stable(proj, newVal, stableVal[v]) {
+			stableCnt[v]++
+			if k.rr && k.ecFrozen(vid) {
+				frozen++
+			}
+		} else {
+			stableCnt[v] = 0
+			stableVal[v] = newVal
+		}
+		if d := delta(vals[v], newVal); d > 0 {
+			if d > maxDelta {
+				maxDelta = d
+			}
+			changed.Set(int(v))
 		}
 	}
+	changed.Flush()
 	k.comps[th] += comps
 	k.suppressed[th] += suppressed
+	k.ec[th] += suppressed + frozen
+	k.maxDelta[th] = max(k.maxDelta[th], maxDelta)
 }
 
-// commit is vertexUpdate (Algorithm 5 lines 13-18): stability bookkeeping
-// and committing new values, single-threaded over the owned range.
+// commitChunk copies one chunk's changed staged values into the value
+// array; each is one "update" (the Table 2 metric).
+func (k *arithKernel[V]) commitChunk(clo, chi uint32, th int) {
+	k.updates[th] += copyChanged(k.st.values, k.scratch, k.changed, clo, chi)
+}
+
+// commit applies the values computeChunk staged and marked, in parallel
+// over the owned range, and folds the per-thread counters into stat.
 func (k *arithKernel[V]) commit(_ int, stat *metrics.IterStat) error {
-	e, p, st := k.e, k.p, k.st
-	for v := e.lo; v < e.hi; v++ {
-		if k.rr && k.ecFrozen(graph.VertexID(v)) {
-			continue
-		}
-		newVal := k.scratch[v]
-		if p.stable(e.dom, newVal, k.stableVal[v]) {
-			k.stableCnt[v]++
-		} else {
-			k.stableCnt[v] = 0
-			k.stableVal[v] = newVal
-		}
-		if d := e.dom.Delta(st.values[v], newVal); d > 0 {
-			if d > k.maxLocalDelta {
-				k.maxLocalDelta = d
-			}
-			st.values[v] = newVal
-			k.changed.Set(int(v))
-		}
-	}
+	e := k.e
+	e.sched.Run(uint32(e.lo), uint32(e.hi), k.commitBody)
 	for t := range k.comps {
 		stat.Computations += k.comps[t]
+		stat.Updates += k.updates[t]
 		stat.Suppressed += k.suppressed[t]
 	}
-	stat.Updates = int64(k.changed.CountRange(int(e.lo), int(e.hi)))
 	return nil
 }
 
 func (k *arithKernel[V]) stepEnd(_ int, stat *metrics.IterStat) (bool, error) {
 	e, p := k.e, k.p
 	// Global termination checks.
-	maxDelta, err := e.comm.AllReduceF64(k.maxLocalDelta, comm.OpMax)
+	var localDelta float64
+	var localEC int64
+	for t := range k.maxDelta {
+		localDelta = max(localDelta, k.maxDelta[t])
+		localEC += k.ec[t]
+	}
+	maxDelta, err := e.comm.AllReduceF64(localDelta, comm.OpMax)
 	if err != nil {
 		return false, err
-	}
-	var localEC int64
-	if k.rr {
-		for v := e.lo; v < e.hi; v++ {
-			if k.ecFrozen(graph.VertexID(v)) {
-				localEC++
-			}
-		}
 	}
 	k.ecCount, err = e.comm.AllReduceI64(localEC, comm.OpSum)
 	if err != nil {

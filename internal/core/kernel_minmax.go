@@ -32,7 +32,11 @@ type minmaxKernel[V comparable] struct {
 	// caught up.
 	caughtUp *bitset.Atomic
 	debt     *bitset.Atomic
-	scratch  []V
+	// reached marks every vertex that has been in a frontier (the roots
+	// included): the only sources whose values a baseline run ever
+	// relaxes, so the only ones a catch-up scan needs to read.
+	reached *bitset.Atomic
+	scratch []V
 
 	// Per-superstep mode decision, made in stepBegin and consumed by
 	// compute/commit.
@@ -69,6 +73,7 @@ func newMinMaxKernel[V comparable](e *Engine[V], p *Program[V], st *state[V], ch
 	if e.cfg.RR {
 		k.caughtUp = bitset.NewAtomic(n)
 		k.debt = bitset.NewAtomic(n)
+		k.reached = bitset.NewAtomic(n)
 	}
 	for _, r := range p.Roots {
 		if int(r) < n {
@@ -97,6 +102,21 @@ func (k *minmaxKernel[V]) restore(snap *ckpt.State) error {
 		}
 		if err := restoreBits(k.debt, snap.Sets["debt"]); err != nil {
 			return err
+		}
+		// Min/max values only improve, and every improvement enters the
+		// next frontier, so the vertices ever in a frontier are exactly
+		// the roots plus those no longer at their initial value.
+		e, p, vals := k.e, k.p, k.st.values
+		k.reached.Reset()
+		for _, r := range p.Roots {
+			if int(r) < len(vals) {
+				k.reached.Set(int(r))
+			}
+		}
+		for v := range vals {
+			if vals[v] != p.InitValue(e.g, graph.VertexID(v)) {
+				k.reached.Set(v)
+			}
 		}
 	}
 	return nil
@@ -137,6 +157,7 @@ func (k *minmaxKernel[V]) stepBegin(iter *int, stat *metrics.IterStat) (bool, er
 	// available and have not caught up yet.
 	var globalDebt int64
 	if e.cfg.RR {
+		k.reached.Or(k.front)
 		localDebt := int64(k.debt.CountRange(int(e.lo), int(e.hi)))
 		var err error
 		globalDebt, err = e.comm.AllReduceI64(localDebt, comm.OpSum)
@@ -226,16 +247,24 @@ func (k *minmaxKernel[V]) compute(iter int, _ *metrics.IterStat) error {
 }
 
 // computePullChunk stages improvements in scratch (BSP-pure, race-free) for
-// one chunk of the owned range; commit applies them. Counts accumulate
-// chunk-locally and reach the per-thread slots once per chunk, so threads
-// do not contend for the slots' shared cache line.
+// one chunk of the owned range; commit applies them. Improved vertices
+// collect in a bitset.Batch, which reaches the changed set with one
+// atomic OR per 64-vertex word. Counts accumulate chunk-locally and reach
+// the per-thread slots once per chunk, so threads do not contend for the
+// slots' shared cache line.
 func (k *minmaxKernel[V]) computePullChunk(clo, chi uint32, th int) {
 	e, p, st := k.e, k.p, k.st
 	ruler := k.ruler
 	var comps, suppressed, catchups int64
+	changed := k.changed.Batch()
 	for v := clo; v < chi; v++ {
 		vid := graph.VertexID(v)
-		ins, iws := e.curs[th].InNeighbors(vid), e.curs[th].InWeights(vid)
+		ins := e.curs[th].InNeighbors(vid)
+		var iws []float32
+		if p.Weighted {
+			iws = e.curs[th].InWeights(vid)
+		}
+		best := st.values[vid]
 		if e.cfg.RR && !k.caughtUp.Get(int(v)) {
 			// Algorithm 2, pullEdge_singleRuler: an O(1) Ruler
 			// test delays the vertex until iteration
@@ -256,15 +285,19 @@ func (k *minmaxKernel[V]) computePullChunk(clo, chi uint32, th int) {
 			k.caughtUp.Set(int(v))
 			if k.debt.Get(int(v)) {
 				// First eligible pull after suppression:
-				// pullFunc over every in-edge regardless of
-				// source activity (§3.2: "requires vx to
+				// pullFunc over every in-edge whose source has
+				// been active at all (§3.2: "requires vx to
 				// collect the inputs from all of them"), which
-				// repays the updates suppression skipped.
-				best := st.values[vid]
+				// repays the updates suppression skipped. A
+				// source never in any frontier still holds its
+				// initial value, which the baseline never
+				// relays either.
 				for i, u := range ins {
+					if !k.reached.Get(int(u)) {
+						continue
+					}
 					comps++
-					cand := k.relax(u, st.values[u], iws[i])
-					if p.Better(cand, best) {
+					if cand := k.relax(u, st.values[u], weightAt(iws, i)); p.Better(cand, best) {
 						best = cand
 					}
 				}
@@ -272,7 +305,7 @@ func (k *minmaxKernel[V]) computePullChunk(clo, chi uint32, th int) {
 				k.debt.Clear(int(v))
 				if p.Better(best, st.values[vid]) {
 					k.scratch[v] = best
-					k.changed.Set(int(v))
+					changed.Set(int(v))
 				}
 				continue
 			}
@@ -286,26 +319,34 @@ func (k *minmaxKernel[V]) computePullChunk(clo, chi uint32, th int) {
 		// relaxation per (update, out-edge) event regardless of
 		// scheduling, and "start late" reduces it by suppressing
 		// a vertex's events outright — all but the one catch-up
-		// scan above, which alone pays the full in-degree.
-		best := st.values[vid]
+		// scan above, which pays the in-degree from reached sources.
 		for i, u := range ins {
 			if !k.front.Get(int(u)) {
 				continue
 			}
 			comps++
-			cand := k.relax(u, st.values[u], iws[i])
-			if p.Better(cand, best) {
+			if cand := k.relax(u, st.values[u], weightAt(iws, i)); p.Better(cand, best) {
 				best = cand
 			}
 		}
 		if p.Better(best, st.values[vid]) {
 			k.scratch[v] = best
-			k.changed.Set(int(v))
+			changed.Set(int(v))
 		}
 	}
+	changed.Flush()
 	k.comps[th] += comps
 	k.suppressed[th] += suppressed
 	k.catchups[th] += catchups
+}
+
+// weightAt is the weight of edge i, or 0 for a weight-blind program,
+// whose weight slice the kernel leaves nil (Program.Weighted).
+func weightAt(ws []float32, i int) float32 {
+	if ws == nil {
+		return 0
+	}
+	return ws[i]
 }
 
 // computePush is source-side push with sender-side combining. The default
@@ -334,11 +375,15 @@ func (k *minmaxKernel[V]) computePushChunk(clo, chi uint32, th int) {
 	for v := it.Next(); v >= 0; v = it.Next() {
 		vid := graph.VertexID(v)
 		srcVal := st.values[vid]
-		outs, ows := e.curs[th].OutNeighbors(vid), e.curs[th].OutWeights(vid)
+		outs := e.curs[th].OutNeighbors(vid)
+		var ows []float32
+		if p.Weighted {
+			ows = e.curs[th].OutWeights(vid)
+		}
 		curR := -1
 		var curLo, curHi graph.VertexID
 		for i, u := range outs {
-			cand := k.relax(vid, srcVal, ows[i])
+			cand := k.relax(vid, srcVal, weightAt(ows, i))
 			comps++
 			if curR < 0 || u < curLo || u >= curHi {
 				curR = e.owner(u)
@@ -375,9 +420,13 @@ func (k *minmaxKernel[V]) computePushMap() {
 				continue
 			}
 			vid := graph.VertexID(v)
-			outs, ows := e.curs[th].OutNeighbors(vid), e.curs[th].OutWeights(vid)
+			outs := e.curs[th].OutNeighbors(vid)
+			var ows []float32
+			if p.Weighted {
+				ows = e.curs[th].OutWeights(vid)
+			}
 			for i, u := range outs {
-				cand := k.relax(vid, st.values[vid], ows[i])
+				cand := k.relax(vid, st.values[vid], weightAt(ows, i))
 				comps++
 				if prev, ok := pm[u]; !ok || p.Better(cand, prev) {
 					pm[u] = cand
@@ -392,13 +441,7 @@ func (k *minmaxKernel[V]) computePushMap() {
 // commitPullChunk applies one chunk's staged improvements to the owned
 // range; each committed value change is one "update" (the Table 2 metric).
 func (k *minmaxKernel[V]) commitPullChunk(clo, chi uint32, th int) {
-	it := k.changed.IterIn(int(clo), int(chi))
-	updates := int64(0)
-	for v := it.Next(); v >= 0; v = it.Next() {
-		k.st.values[v] = k.scratch[v]
-		updates++
-	}
-	k.updates[th] += updates
+	k.updates[th] += copyChanged(k.st.values, k.scratch, k.changed, clo, chi)
 }
 
 func (k *minmaxKernel[V]) commit(_ int, stat *metrics.IterStat) error {

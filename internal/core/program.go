@@ -68,6 +68,16 @@ type Program[V comparable] struct {
 	// Roots are the initially active vertices (MinMax programs).
 	Roots []graph.VertexID
 
+	// Weighted declares that the program reads edge weights: Gather's ws
+	// for arith programs, Relax/RelaxE's w for min/max ones. When it is
+	// false the engine never fetches edge weights (on a disk-backed graph
+	// their section is never decoded): Gather gets ws == nil and
+	// Relax/RelaxE get w == 0. When it is true ws is parallel to ins and w
+	// is the edge's weight. SSSP, WidestPath, SSSPTree, SpMV and
+	// BeliefPropagation set it; BFS, CC, PageRank and the other
+	// weight-blind programs leave it false.
+	Weighted bool
+
 	// --- MinMax hooks ---
 
 	// Relax proposes a value for the destination of an edge carrying the
@@ -91,11 +101,6 @@ type Program[V comparable] struct {
 	// one-element slices. Folding a batch must be bit-identical to folding
 	// its edges one by one, left to right.
 	Gather func(acc V, vals []V, ins []graph.VertexID, ws []float32) V
-	// Weighted declares that Gather reads ws. When it is false the engine
-	// never fetches in-edge weights (on a disk-backed graph their section
-	// is never decoded) and passes ws == nil; when it is true ws is
-	// parallel to ins.
-	Weighted bool
 	// Apply is the vertexUpdate vOp: combines the accumulator and the
 	// vertex's previous property into its next property
 	// (PR: (0.15+0.85*acc)/outdeg, ignoring prev).
@@ -194,14 +199,21 @@ func (p *Program[V]) maxItersOrDefault() int {
 }
 
 // stable reports whether two successive values are equal under the
-// relative tolerance StableEps, projecting through dom (the engine's
-// resolved domain — p.Dom may be unset). With StableEps == 0 the test is
-// exact equality — the paper-faithful rule every non-F64 domain should
-// use.
-func (p *Program[V]) stable(dom Domain[V], a, b V) bool {
+// relative tolerance StableEps, projecting through proj (the Float64 hook
+// of the engine's resolved domain — p.Dom may be unset). With StableEps
+// == 0 the test is exact equality — the paper-faithful rule every non-F64
+// domain should use.
+func (p *Program[V]) stable(proj func(V) float64, a, b V) bool {
 	if p.StableEps == 0 {
 		return a == b
 	}
-	fa, fb := dom.Float64(a), dom.Float64(b)
-	return math.Abs(fa-fb) <= p.StableEps*math.Max(math.Abs(fa), math.Abs(fb))
+	fa, fb := proj(a), proj(b)
+	// The larger magnitude, without math.Max: its NaN and signed-zero
+	// cases cannot change the outcome (a NaN makes the test false either
+	// way), and this runs once per computed vertex.
+	m := math.Abs(fa)
+	if mb := math.Abs(fb); mb > m {
+		m = mb
+	}
+	return math.Abs(fa-fb) <= p.StableEps*m
 }

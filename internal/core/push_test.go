@@ -29,9 +29,10 @@ func TestFlatPushMatchesMapPush(t *testing.T) {
 			}
 			return 0
 		},
-		Roots:  []graph.VertexID{0},
-		Relax:  func(srcVal Value, w float32) Value { return math.Min(srcVal, float64(w)) },
-		Better: func(a, b Value) bool { return a > b },
+		Roots:    []graph.VertexID{0},
+		Relax:    func(srcVal Value, w float32) Value { return math.Min(srcVal, float64(w)) },
+		Better:   func(a, b Value) bool { return a > b },
+		Weighted: true,
 	}
 	for _, prog := range []*Program[float64]{testProgram(), maxProg} {
 		for _, threads := range []int{1, 4} {

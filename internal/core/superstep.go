@@ -48,8 +48,10 @@ type kernel[V comparable] interface {
 	// through Engine.computeOwned so they join the overlap phase when the
 	// superstep streams.
 	compute(iter int, stat *metrics.IterStat) error
-	// commit applies staged values to the owned range, marks changed
-	// vertices, and folds per-thread counters into stat.
+	// commit applies staged values to the owned range and folds
+	// per-thread counters into stat. Pull-style computes have already
+	// marked the changed vertices; push commits mark them as proposals
+	// arrive.
 	commit(iter int, stat *metrics.IterStat) error
 	// stepEnd runs post-sync global coordination (e.g. convergence
 	// reductions). done ends the run after checkpoint/rebalance ticks.
@@ -226,4 +228,17 @@ func (e *Engine[V]) runSupersteps(p *Program[V], k kernel[V], st *state[V], chan
 	}
 	k.finish(res)
 	return res, nil
+}
+
+// copyChanged is the pull kernels' commit step for one chunk: it copies
+// the staged value of every vertex marked in changed within [clo, chi)
+// from scratch into values and returns how many it copied.
+func copyChanged[V any](values, scratch []V, changed *bitset.Atomic, clo, chi uint32) int64 {
+	it := changed.IterIn(int(clo), int(chi))
+	n := int64(0)
+	for v := it.Next(); v >= 0; v = it.Next() {
+		values[v] = scratch[v]
+		n++
+	}
+	return n
 }

@@ -32,9 +32,10 @@ func testWP(root graph.VertexID) *Program[float64] {
 			}
 			return 0
 		},
-		Roots:  []graph.VertexID{root},
-		Relax:  func(src Value, w float32) Value { return math.Min(src, float64(w)) },
-		Better: func(a, b Value) bool { return a > b },
+		Roots:    []graph.VertexID{root},
+		Relax:    func(src Value, w float32) Value { return math.Min(src, float64(w)) },
+		Better:   func(a, b Value) bool { return a > b },
+		Weighted: true,
 	}
 }
 

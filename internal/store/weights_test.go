@@ -9,18 +9,26 @@ import (
 	"slfe/internal/core"
 	"slfe/internal/gen"
 	"slfe/internal/graph"
+	"slfe/internal/metrics"
 )
 
-// weightCounter wraps a View and counts every InWeights call made through
-// it or through any Cursor it hands out.
+// weightCounter wraps a View and counts every InWeights and OutWeights
+// call made through it or through any Cursor it hands out.
 type weightCounter struct {
 	graph.View
-	calls *atomic.Int64
+	calls *weightCalls
 }
 
+type weightCalls struct{ in, out atomic.Int64 }
+
 func (w weightCounter) InWeights(v graph.VertexID) []float32 {
-	w.calls.Add(1)
+	w.calls.in.Add(1)
 	return w.View.InWeights(v)
+}
+
+func (w weightCounter) OutWeights(v graph.VertexID) []float32 {
+	w.calls.out.Add(1)
+	return w.View.OutWeights(v)
 }
 
 func (w weightCounter) Cursor() graph.Cursor {
@@ -29,12 +37,28 @@ func (w weightCounter) Cursor() graph.Cursor {
 
 type countingCursor struct {
 	graph.Cursor
-	calls *atomic.Int64
+	calls *weightCalls
 }
 
 func (c countingCursor) InWeights(v graph.VertexID) []float32 {
-	c.calls.Add(1)
+	c.calls.in.Add(1)
 	return c.Cursor.InWeights(v)
+}
+
+func (c countingCursor) OutWeights(v graph.VertexID) []float32 {
+	c.calls.out.Add(1)
+	return c.Cursor.OutWeights(v)
+}
+
+// weightViews returns g on the heap and as mmap'd and out-of-core SLFC
+// views.
+func weightViews(t *testing.T, g *graph.Graph) map[string]graph.View {
+	t.Helper()
+	views := map[string]graph.View{"heap": g}
+	for mode, sg := range viewModes(t, g) {
+		views[mode] = sg
+	}
+	return views
 }
 
 // TestArithKernelReadsWeightsOnlyWhenWeighted pins the Program.Weighted
@@ -43,11 +67,7 @@ func (c countingCursor) InWeights(v graph.VertexID) []float32 {
 // (so an SLFC weight section is never decoded for them), and the weighted
 // ones fetch them exactly once per computed vertex.
 func TestArithKernelReadsWeightsOnlyWhenWeighted(t *testing.T) {
-	heap := gen.RMAT(400, 3200, gen.DefaultRMAT, 8, 17)
-	views := map[string]graph.View{"heap": heap}
-	for mode, sg := range viewModes(t, heap) {
-		views[mode] = sg
-	}
+	views := weightViews(t, gen.RMAT(400, 3200, gen.DefaultRMAT, 8, 17))
 	weighted := map[string]bool{"spmv": true, "bp": true}
 	const nodes, root, iters = 2, 0, 6
 	for _, entry := range apps.Runnables() {
@@ -55,7 +75,7 @@ func TestArithKernelReadsWeightsOnlyWhenWeighted(t *testing.T) {
 			continue
 		}
 		for mode, v := range views {
-			var calls atomic.Int64
+			var calls weightCalls
 			out, err := entry.Build(root, iters).Execute(weightCounter{View: v, calls: &calls}, cluster.Options{Nodes: nodes, RR: true})
 			if err != nil {
 				t.Fatalf("%s/%s on %s: %v", entry.Key, entry.Domain, mode, err)
@@ -71,9 +91,66 @@ func TestArithKernelReadsWeightsOnlyWhenWeighted(t *testing.T) {
 					want -= run.Suppressed()
 				}
 			}
-			if got := calls.Load(); got != want {
+			if got := calls.in.Load(); got != want {
 				t.Errorf("%s/%s on %s: %d InWeights calls, want %d", entry.Key, entry.Domain, mode, got, want)
 			}
+			if got := calls.out.Load(); got != 0 {
+				t.Errorf("%s/%s on %s: %d OutWeights calls, want 0", entry.Key, entry.Domain, mode, got)
+			}
 		}
+	}
+}
+
+// TestMinMaxKernelReadsWeightsOnlyWhenWeighted pins the same contract on
+// the min/max kernel, in pull and push supersteps, on the heap graph and
+// on SLFC views. Weight-blind programs (BFS, CC) never fetch a weight;
+// weighted ones fetch a vertex's in-weights once per pull superstep and a
+// frontier vertex's out-weights once per push superstep.
+func TestMinMaxKernelReadsWeightsOnlyWhenWeighted(t *testing.T) {
+	heap := gen.RMAT(400, 3200, gen.DefaultRMAT, 8, 19)
+	views := weightViews(t, heap)
+	symViews := weightViews(t, apps.Symmetrize(heap))
+	weighted := map[string]bool{"sssp": true, "wp": true}
+	const nodes, root = 2, 0
+	var pulls, pushes int
+	for _, entry := range apps.Runnables() {
+		if entry.Agg != core.MinMax {
+			continue
+		}
+		vs := views
+		if entry.NeedsSym {
+			vs = symViews
+		}
+		for mode, v := range vs {
+			for _, rr := range []bool{false, true} {
+				var calls weightCalls
+				out, err := entry.Build(root, 0).Execute(weightCounter{View: v, calls: &calls}, cluster.Options{Nodes: nodes, RR: rr})
+				if err != nil {
+					t.Fatalf("%s/%s on %s rr=%v: %v", entry.Key, entry.Domain, mode, rr, err)
+				}
+				var wantIn, wantOut int64
+				for _, it := range out.PerWorker[0].Iters {
+					if it.Mode == metrics.Pull {
+						pulls++
+						wantIn += int64(v.NumVertices())
+					} else {
+						pushes++
+						wantOut += it.ActiveVerts
+					}
+				}
+				if !weighted[entry.Key] {
+					wantIn, wantOut = 0, 0
+				}
+				if got := calls.in.Load(); got != wantIn {
+					t.Errorf("%s/%s on %s rr=%v: %d InWeights calls, want %d", entry.Key, entry.Domain, mode, rr, got, wantIn)
+				}
+				if got := calls.out.Load(); got != wantOut {
+					t.Errorf("%s/%s on %s rr=%v: %d OutWeights calls, want %d", entry.Key, entry.Domain, mode, rr, got, wantOut)
+				}
+			}
+		}
+	}
+	if pulls == 0 || pushes == 0 {
+		t.Fatalf("runs made %d pull and %d push supersteps; both modes must be covered", pulls, pushes)
 	}
 }
