@@ -72,7 +72,6 @@ func BenchmarkAblationAsync(b *testing.B)          { runExperiment(b, "ablation-
 func BenchmarkAnalyticsApps(b *testing.B)          { runExperiment(b, "analytics") }
 func BenchmarkAblationIncrementalRRG(b *testing.B) { runExperiment(b, "ablation-incremental") }
 func BenchmarkPipelineBreakdown(b *testing.B)      { runExperiment(b, "pipeline") }
-func BenchmarkDeltaSyncStrategies(b *testing.B)    { runExperiment(b, "deltasync") }
 func BenchmarkHotpathAllocations(b *testing.B)     { runExperiment(b, "hotpath") }
 
 // Micro-benchmarks of the pieces the experiments compose.

@@ -55,8 +55,6 @@ func main() {
 	rr := flag.Bool("rr", true, "enable redundancy reduction (slfe)")
 	stealing := flag.Bool("stealing", true, "enable work stealing (slfe)")
 	codecName := flag.String("codec", "raw", "delta-sync wire codec: raw | varint-xor | rle | adaptive (slfe; built at the domain's word width)")
-	syncName := flag.String("sync", "dense", "delta-sync strategy: dense | sparse | adaptive (slfe)")
-	sparseDiv := flag.Int64("sparse-divisor", 0, "adaptive sync goes sparse when changed*divisor < |V| (0 = default 16)")
 	serialSync := flag.Bool("serial-sync", false, "disable overlapped delta-sync streaming; run sync strictly after the compute barrier (slfe, differential oracle)")
 	rebalance := flag.Bool("rebalance", false, "enable dynamic inter-node rebalancing (slfe)")
 	root := flag.Uint("root", 0, "root vertex for sssp/bfs/wp/numpaths")
@@ -104,15 +102,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sync, err := core.ParseSyncStrategy(*syncName)
-	if err != nil {
-		fatal(err)
-	}
-	if *sparseDiv < 0 {
-		fatal(fmt.Errorf("-sparse-divisor must be non-negative (got %d)", *sparseDiv))
-	}
 	opt := cluster.Options{Nodes: *nodes, Threads: *threads, Stealing: *stealing, RR: *rr,
-		Codec: codec, Sync: sync, SparseDivisor: *sparseDiv, SerialSync: *serialSync, Rebalance: *rebalance}
+		Codec: codec, SerialSync: *serialSync, Rebalance: *rebalance}
 	if *ft {
 		dir := *ftDir
 		if dir == "" {
@@ -177,8 +168,8 @@ func main() {
 				}
 			}
 		}
-		fmt.Printf("delta-sync: strategy=%v supersteps dense=%d sparse=%d overlapped=%d flush=%dB codec-picks=%s\n",
-			sync, run.DenseSyncs, run.SparseSyncs, run.OverlappedSyncs, run.FlushBytes, formatPicks(run.CodecPicks))
+		fmt.Printf("delta-sync: supersteps overlapped=%d codec-picks=%s\n",
+			run.OverlappedSyncs, formatPicks(run.CodecPicks))
 		var streamed, syncB int64
 		for _, s := range run.Iters {
 			streamed += s.StreamedBytes

@@ -35,7 +35,6 @@ import (
 	"syscall"
 	"time"
 
-	"slfe/internal/core"
 	"slfe/internal/gen"
 	"slfe/internal/graph"
 	"slfe/internal/loader"
@@ -56,7 +55,6 @@ type serveConfig struct {
 	threads  int
 	rr       bool
 	stealing bool
-	syncName string
 
 	sessions      int
 	cacheCapacity int
@@ -77,7 +75,6 @@ func main() {
 	flag.IntVar(&c.threads, "threads", 0, "threads per node (0 = GOMAXPROCS)")
 	flag.BoolVar(&c.rr, "rr", true, "enable redundancy reduction (incrementally maintained)")
 	flag.BoolVar(&c.stealing, "stealing", true, "enable work stealing")
-	flag.StringVar(&c.syncName, "sync", "dense", "delta-sync strategy: dense | sparse | adaptive")
 	flag.IntVar(&c.sessions, "sessions", 2, "session pool size (concurrent program executions)")
 	flag.IntVar(&c.cacheCapacity, "cache", 4096, "read-cache capacity in entries (negative disables)")
 	flag.IntVar(&c.mutationQueue, "mutation-queue", 4, "bounded mutation queue depth before 429")
@@ -108,10 +105,6 @@ func run(c serveConfig) error {
 	if c.nodes < 1 {
 		return fmt.Errorf("-nodes must be at least 1 (got %d)", c.nodes)
 	}
-	sync, err := core.ParseSyncStrategy(c.syncName)
-	if err != nil {
-		return err
-	}
 	g, err := loadGraph(c.path, c.dataset, c.scale)
 	if err != nil {
 		return err
@@ -119,7 +112,7 @@ func run(c serveConfig) error {
 	fmt.Printf("graph: %v\n", g)
 
 	svc, err := service.New(g, service.Config{
-		Nodes: c.nodes, Threads: c.threads, Stealing: c.stealing, RR: c.rr, Sync: sync,
+		Nodes: c.nodes, Threads: c.threads, Stealing: c.stealing, RR: c.rr,
 		Sessions:      c.sessions,
 		CacheCapacity: c.cacheCapacity,
 		MutationQueue: c.mutationQueue,

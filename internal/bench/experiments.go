@@ -305,7 +305,6 @@ var Experiments = map[string]func(Config) error{
 	"ablation-incremental": AblationIncremental,
 	"analytics":            Analytics,
 	"pipeline":             Pipeline,
-	"deltasync":            DeltaSync,
 	"hotpath":              Hotpath,
 	"overlap":              Overlap,
 	"valuewidth":           ValueWidth,
@@ -317,7 +316,7 @@ var Experiments = map[string]func(Config) error{
 // All runs every experiment in a stable order.
 func All(c Config) error {
 	order := []string{"table1", "table4", "table2", "fig2", "fig4", "table5", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-		"ablation-dense", "ablation-partition", "ablation-guidance", "ablation-codec", "ablation-rebalance", "ablation-reorder", "ablation-async", "ablation-incremental", "analytics", "pipeline", "deltasync", "hotpath", "overlap", "valuewidth", "serve", "recovery", "storage"}
+		"ablation-dense", "ablation-partition", "ablation-guidance", "ablation-codec", "ablation-rebalance", "ablation-reorder", "ablation-async", "ablation-incremental", "analytics", "pipeline", "hotpath", "overlap", "valuewidth", "serve", "recovery", "storage"}
 	for _, name := range order {
 		if err := Experiments[name](c); err != nil {
 			return fmt.Errorf("bench: %s: %w", name, err)

@@ -43,10 +43,9 @@ func domWidth(domain string) int {
 // registered application runs once per domain (f64 oracle, f32
 // paper-faithful, u32 where the property is an integer label) on an
 // in-process cluster with the adaptive codec at the domain's width,
-// reporting elapsed time, total delta-sync traffic (sync + termination
-// flush), the bytes streamed during compute, the reduction against f64,
-// and — from a second single-node run with allocation measurement — the
-// steady-state heap bytes per superstep. Results are verified against the
+// reporting elapsed time, total delta-sync traffic, the bytes streamed
+// during compute, the reduction against f64, and — from a second
+// single-node run with allocation measurement — the steady-state heap bytes per superstep. Results are verified against the
 // f64 oracle: f32 within relative tolerance (float rounding is the
 // expected, paper-sanctioned difference), u32 exactly (integer semantics),
 // with the unreached sentinels (+Inf vs 2^32-1) identified. With a trace
@@ -102,8 +101,7 @@ func valuewidthIters(c Config, app string) int {
 }
 
 // valuewidthRun executes one (app, domain) pairing on the configured
-// cluster and returns the outcome plus its total delta-sync bytes
-// (per-superstep sync traffic + termination flush).
+// cluster and returns the outcome plus its total delta-sync bytes.
 func valuewidthRun(c Config, app, domain string) (*apps.Outcome, int64, error) {
 	entry, ok := apps.LookupRunnable(app, domain)
 	if !ok {
@@ -189,11 +187,10 @@ func valuewidthHeap(c Config, app, domain string) (int64, error) {
 	return heapB, nil
 }
 
-// syncTraffic totals a run's delta-sync bytes: the per-superstep sync
-// traffic (which includes streamed bytes) plus the sparse termination
-// flush.
+// syncTraffic totals a run's per-superstep delta-sync bytes (which include
+// streamed bytes).
 func syncTraffic(m *metrics.Run) int64 {
-	total := m.FlushBytes
+	var total int64
 	for _, s := range m.Iters {
 		total += s.SyncBytes
 	}

@@ -143,11 +143,6 @@ func (s *State) Encode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeState parses a shard from a byte slice written by Encode/WriteTo.
-func DecodeState(data []byte) (*State, error) {
-	return ReadState(bytes.NewReader(data))
-}
-
 // appendWords writes a length-prefixed word array at the given width.
 func appendWords(buf []byte, words []uint64, width int) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(words)))
@@ -175,6 +170,13 @@ func ReadState(r io.Reader) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
+	return DecodeState(buf)
+}
+
+// DecodeState parses a shard from a byte slice written by Encode/WriteTo.
+// The result does not alias buf, and what the decoder allocates is bounded
+// by a small multiple of len(buf), whatever lengths a corrupt shard claims.
+func DecodeState(buf []byte) (*State, error) {
 	if len(buf) < len(magic)+2+4 {
 		return nil, fmt.Errorf("%w: short file", ErrCorrupt)
 	}
@@ -218,9 +220,15 @@ func ReadState(r io.Reader) (*State, error) {
 	}
 	if nsets > 0 {
 		s.Sets = make(map[string][]uint32, nsets)
+		prev := ""
 		for i := uint32(0); i < nsets; i++ {
 			k := d.string()
-			s.Sets[k] = d.ids()
+			if i > 0 && k <= prev {
+				// WriteTo emits keys sorted and unique.
+				return nil, fmt.Errorf("%w: set keys out of order", ErrCorrupt)
+			}
+			prev = k
+			s.Sets[k] = d.u32s()
 		}
 	}
 	if d.err != nil {
@@ -237,10 +245,19 @@ type decoder struct {
 	err error
 }
 
+// zeros backs the fixed-width reads past a truncation.
+var zeros [8]byte
+
+// bytes consumes the next n bytes. Past the end it records the error and
+// returns zeros for the fixed-width reads (n <= 8) and nil for longer ones,
+// so a corrupt length never sizes an allocation.
 func (d *decoder) bytes(n int) []byte {
 	if d.err != nil || len(d.buf) < n {
 		d.err = errors.New("truncated")
-		return make([]byte, n)
+		if n <= len(zeros) {
+			return zeros[:n]
+		}
+		return nil
 	}
 	out := d.buf[:n]
 	d.buf = d.buf[n:]
@@ -260,10 +277,11 @@ func (d *decoder) string() string {
 	return string(d.bytes(int(n)))
 }
 
-func (d *decoder) lenCapped() int {
+// lenCapped reads an array length and rejects one whose elements, elem
+// bytes each on the wire, would overrun the remaining payload.
+func (d *decoder) lenCapped(elem int) int {
 	n := d.u64()
-	if d.err == nil && n > uint64(len(d.buf)) {
-		// Each element takes at least one byte of the remaining buffer.
+	if d.err == nil && n > uint64(len(d.buf)/elem) {
 		d.err = errors.New("length exceeds payload")
 		return 0
 	}
@@ -271,7 +289,7 @@ func (d *decoder) lenCapped() int {
 }
 
 func (d *decoder) words(width int) []uint64 {
-	n := d.lenCapped()
+	n := d.lenCapped(width)
 	if d.err != nil || n == 0 {
 		return nil
 	}
@@ -287,7 +305,7 @@ func (d *decoder) words(width int) []uint64 {
 }
 
 func (d *decoder) u32s() []uint32 {
-	n := d.lenCapped()
+	n := d.lenCapped(4)
 	if d.err != nil || n == 0 {
 		return nil
 	}
@@ -297,8 +315,6 @@ func (d *decoder) u32s() []uint32 {
 	}
 	return out
 }
-
-func (d *decoder) ids() []uint32 { return d.u32s() }
 
 func appendString(buf []byte, s string) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))

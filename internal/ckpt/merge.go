@@ -13,11 +13,15 @@ import (
 // it is epoch-agnostic and can seed a run on any new membership.
 //
 // Per-vertex state (Values, StableCnt, StableVal) is taken from each
-// vertex's owner, because under sparse delta-sync only the owner's copy is
-// authoritative. The bit sets are unioned: every owner holds its own
-// changed-frontier bits, so the frontier union is exactly the global
-// changed set, while caughtup/debt/sparsedirty are owned-range state and
-// are restricted to each shard's range before the union.
+// vertex's owner, whose copy is authoritative. That also makes a merge of
+// shards written under the since-removed sparse delta-sync safe: there,
+// the "sparsedirty" set listed owned vertices whose latest value had
+// reached only some ranks, so non-owner copies could be stale. (The engine
+// rejects such a shard when a single rank resumes from it.) The bit sets
+// are unioned: every owner holds its own changed-frontier bits, so the
+// frontier union is exactly the global changed set, while every other set
+// (caughtup, debt, the legacy sparsedirty) is owned-range state and is
+// restricted to each shard's range before the union.
 func Merge(shards []*State) (*State, error) {
 	if len(shards) == 0 {
 		return nil, errors.New("ckpt: merge of no shards")

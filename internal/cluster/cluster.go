@@ -42,13 +42,6 @@ type Options struct {
 	DenseDivisor int64
 	// Codec selects the delta-sync wire codec (nil: compress.Raw).
 	Codec compress.Codec
-	// Sync selects the delta-sync strategy (dense AllGather, sparse
-	// per-peer exchange, or adaptive per-superstep selection); see
-	// core.Config.Sync.
-	Sync core.SyncStrategy
-	// SparseDivisor tunes the adaptive density threshold; see
-	// core.Config.SparseDivisor.
-	SparseDivisor int64
 	// MapPush selects the seed's map-based push combining instead of the
 	// flat combiner; see core.Config.MapPush.
 	MapPush bool
@@ -236,8 +229,6 @@ func run[V comparable](g graph.View, p *core.Program[V], opt Options, transports
 				DenseDivisor:     opt.DenseDivisor,
 				TrackLastChange:  opt.TrackLastChange,
 				Codec:            opt.Codec,
-				Sync:             opt.Sync,
-				SparseDivisor:    opt.SparseDivisor,
 				MapPush:          opt.MapPush,
 				SerialSync:       opt.SerialSync,
 				MeasureAllocs:    opt.MeasureAllocs,

@@ -165,13 +165,13 @@ func TestFTPartitionArithF64(t *testing.T) {
 	requireWarmRestore(t, rep)
 }
 
-// TestFTKillSparseAdaptive exercises recovery while the adaptive sparse
-// sync path is live, so the merged checkpoint must carry the caught-up /
-// debt / sparse-dirty bookkeeping across the membership change.
-func TestFTKillSparseAdaptive(t *testing.T) {
+// TestFTKillMinMaxRR exercises recovery with redundancy reduction on, so
+// the merged checkpoint must carry the caught-up / debt bookkeeping across
+// the membership change.
+func TestFTKillMinMaxRR(t *testing.T) {
 	g := ftGraph()
 	rep := ftDiff(t, g, func() *core.Program[float64] { return apps.SSSP(0) },
-		cluster.Options{Nodes: 3, RR: true, Sync: core.SyncAdaptive}, killMidRun(2), []int{2})
+		cluster.Options{Nodes: 3, RR: true}, killMidRun(2), []int{2})
 	requireWarmRestore(t, rep)
 }
 

@@ -28,7 +28,6 @@ type Comm struct {
 	// arrivals are buffered.
 	gatherSeq   uint64
 	allToAllSeq uint64
-	sparseSeq   uint64
 	ringSeq     uint64
 	pending     map[pendKey][]byte
 
@@ -273,69 +272,6 @@ func (c *Comm) AllToAll(blobs [][]byte) ([][]byte, error) {
 	}
 	for i := 0; i < c.Size()-1; i++ {
 		from, payload, err := c.recvSeq(typeAllToAll, seq)
-		if err != nil {
-			return nil, err
-		}
-		out[from] = payload
-	}
-	return out, nil
-}
-
-// SparseExchange is the sparse counterpart of AllToAll: blobs[r] is sent to
-// rank r only when non-nil, so a superstep with few cross-rank deltas pays
-// for the peers it actually feeds instead of a full mesh of payloads. Ranks
-// first AllGather a destination bitmap (one bit per rank, ceil(size/8)
-// bytes) so every rank knows how many payloads to expect; payloads are then
-// sent directly, batched and sequence-tagged like the gather path, so a
-// fast rank's next round never mixes with a slow rank's current one.
-// Returns the received blobs indexed by source rank; sources that sent
-// nothing stay nil (blobs[own rank] is passed through locally).
-func (c *Comm) SparseExchange(blobs [][]byte) ([][]byte, error) {
-	size := c.Size()
-	if len(blobs) != size {
-		return nil, fmt.Errorf("comm: SparseExchange needs %d blobs, got %d", size, len(blobs))
-	}
-	if size == 1 {
-		return c.selfResult(blobs[0]), nil
-	}
-	out := make([][]byte, size)
-	out[c.Rank()] = blobs[c.Rank()]
-	maskLen := (size + 7) / 8
-	mask := make([]byte, maskLen)
-	for r, b := range blobs {
-		if b != nil && r != c.Rank() {
-			mask[r/8] |= 1 << (r % 8)
-		}
-	}
-	masks, err := c.AllGather(mask)
-	if err != nil {
-		return nil, err
-	}
-	expected := 0
-	me := c.Rank()
-	for src, m := range masks {
-		if src == me {
-			continue
-		}
-		if len(m) != maskLen {
-			return nil, fmt.Errorf("comm: sparse destination mask from rank %d has %d bytes, want %d", src, len(m), maskLen)
-		}
-		if m[me/8]&(1<<(me%8)) != 0 {
-			expected++
-		}
-	}
-	seq := c.sparseSeq
-	c.sparseSeq++
-	for r, b := range blobs {
-		if r == me || b == nil {
-			continue
-		}
-		if err := c.sendSeq(r, typeSparse, seq, b); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < expected; i++ {
-		from, payload, err := c.recvSeq(typeSparse, seq)
 		if err != nil {
 			return nil, err
 		}

@@ -248,124 +248,6 @@ func TestCollectiveRounds(t *testing.T) {
 	})
 }
 
-func TestSparseExchange(t *testing.T) {
-	const size = 4
-	runGroup(t, size, func(c *Comm) error {
-		// Round 1: a sparse ring — each rank feeds only its successor.
-		blobs := make([][]byte, size)
-		next := (c.Rank() + 1) % size
-		blobs[next] = []byte(fmt.Sprintf("r%d->r%d", c.Rank(), next))
-		got, err := c.SparseExchange(blobs)
-		if err != nil {
-			return err
-		}
-		prev := (c.Rank() + size - 1) % size
-		for src, b := range got {
-			switch src {
-			case prev:
-				want := fmt.Sprintf("r%d->r%d", prev, c.Rank())
-				if string(b) != want {
-					return fmt.Errorf("rank %d: from %d got %q, want %q", c.Rank(), src, b, want)
-				}
-			case c.Rank():
-				if b != nil {
-					return fmt.Errorf("rank %d: unexpected self blob %q", c.Rank(), b)
-				}
-			default:
-				if b != nil {
-					return fmt.Errorf("rank %d: unexpected blob %q from silent rank %d", c.Rank(), b, src)
-				}
-			}
-		}
-		// Round 2: nobody sends; must complete with all-nil results.
-		got, err = c.SparseExchange(make([][]byte, size))
-		if err != nil {
-			return err
-		}
-		for src, b := range got {
-			if b != nil {
-				return fmt.Errorf("rank %d: silent round delivered %q from %d", c.Rank(), b, src)
-			}
-		}
-		// Round 3: only rank 0 fans out, with empty (non-nil) payloads —
-		// presence must be distinguishable from absence.
-		blobs = make([][]byte, size)
-		if c.Rank() == 0 {
-			for r := 1; r < size; r++ {
-				blobs[r] = []byte{}
-			}
-		}
-		got, err = c.SparseExchange(blobs)
-		if err != nil {
-			return err
-		}
-		if c.Rank() != 0 {
-			if got[0] == nil || len(got[0]) != 0 {
-				return fmt.Errorf("rank %d: empty payload from 0 arrived as %v", c.Rank(), got[0])
-			}
-		}
-		return nil
-	})
-}
-
-func TestSparseExchangeRoundsDoNotMix(t *testing.T) {
-	// A fast rank may enter round k+1 while a slow one drains round k; the
-	// sequence tags must keep the rounds apart even with reordered senders.
-	const size = 3
-	const rounds = 20
-	runGroup(t, size, func(c *Comm) error {
-		for round := 0; round < rounds; round++ {
-			blobs := make([][]byte, size)
-			for r := 0; r < size; r++ {
-				if r == c.Rank() || (round+r+c.Rank())%2 == 0 {
-					continue
-				}
-				blobs[r] = []byte(fmt.Sprintf("%d|%d->%d", round, c.Rank(), r))
-			}
-			got, err := c.SparseExchange(blobs)
-			if err != nil {
-				return err
-			}
-			for src, b := range got {
-				if src == c.Rank() || b == nil {
-					continue
-				}
-				want := fmt.Sprintf("%d|%d->%d", round, src, c.Rank())
-				if string(b) != want {
-					return fmt.Errorf("rank %d round %d: got %q, want %q", c.Rank(), round, b, want)
-				}
-			}
-		}
-		return nil
-	})
-}
-
-func TestSparseExchangeWrongLength(t *testing.T) {
-	ts, err := NewLocalGroup(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewComm(ts[0])
-	if _, err := c.SparseExchange(make([][]byte, 3)); err == nil {
-		t.Fatal("SparseExchange accepted a mis-sized blob slice")
-	}
-}
-
-func TestSparseExchangeSingleRank(t *testing.T) {
-	ts, err := NewLocalGroup(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewComm(ts[0])
-	got, err := c.SparseExchange([][]byte{[]byte("self")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got[0]) != "self" {
-		t.Fatalf("got %q", got[0])
-	}
-}
-
 func TestAllReduceRejectsShortPayload(t *testing.T) {
 	// A peer emitting a truncated reduce word (a missing header, a buggy
 	// sender) must surface as a protocol error, not an out-of-range slice.

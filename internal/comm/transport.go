@@ -36,7 +36,7 @@ const (
 	typeReduceResult
 	typeGather
 	typeAllToAll
-	typeSparse
+	_ // 6: retired (the routed sparse exchange); ids are wire-visible
 	typeStream
 	typeHeartbeat
 	typeReplica

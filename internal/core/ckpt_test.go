@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -212,6 +213,63 @@ func TestCheckpointRejectsWrongProgram(t *testing.T) {
 	_, errs := runWithCkpt(t, g, other, 2, m, -1, 0, nil)
 	if errs[0] == nil && errs[1] == nil {
 		t.Fatal("checkpoint for a different program accepted")
+	}
+}
+
+// A shard written under the since-removed sparse delta-sync lists the owned
+// vertices whose latest value reached only some ranks ("sparsedirty"), so
+// its copies of other ranks' vertices may be stale. Resuming such a shard
+// per rank must fail with an actionable error; the merged state of all the
+// shards stays resumable, because ckpt.Merge takes each vertex from its
+// owner.
+func TestCheckpointRejectsSparseDirtyShard(t *testing.T) {
+	const nodes = 2
+	g := gen.RMAT(256, 2048, gen.DefaultRMAT, 8, 3)
+	p := testProgram()
+	want := runCluster(t, g, p, nodes, nil)
+	m := &ckpt.Manager{Dir: t.TempDir(), Every: 2}
+	if _, errs := runWithCkpt(t, g, p, nodes, m, -1, 0, nil); errs[0] != nil || errs[1] != nil {
+		t.Fatal(errs)
+	}
+	iter, err := m.LatestComplete(nodes)
+	if err != nil || iter < 0 {
+		t.Fatalf("no complete checkpoint (latest %d, %v)", iter, err)
+	}
+	shards := make([]*ckpt.State, nodes)
+	for r := range shards {
+		s, err := m.Load(iter, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Sets == nil {
+			s.Sets = make(map[string][]uint32)
+		}
+		s.Sets["sparsedirty"] = []uint32{s.Bounds[r]}
+		if err := m.Save(r, s); err != nil {
+			t.Fatal(err)
+		}
+		shards[r] = s
+	}
+
+	m.Resume = true
+	_, errs := runWithCkpt(t, g, p, nodes, m, -1, 0, nil)
+	for r, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "sparse delta-sync") || !strings.Contains(err.Error(), "ckpt.Merge") {
+			t.Fatalf("rank %d resumed a sparse-dirty shard: got %v, want an actionable rejection", r, err)
+		}
+	}
+
+	merged, err := ckpt.Merge(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(merged.Sets["sparsedirty"]) == 0 {
+		t.Fatal("merged state lost the sparse-dirty set; the test no longer covers it")
+	}
+	for r, res := range runClusterAll(t, g, p, nodes, func(_ int, cfg *Config) { cfg.Restore = merged }) {
+		if !sameValues(res.Values, want.Values) {
+			t.Fatalf("rank %d: run restored from the merged state differs from an uninterrupted run", r)
+		}
 	}
 }
 

@@ -4,66 +4,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"time"
 
 	"slfe/internal/bitset"
-	"slfe/internal/comm"
 	"slfe/internal/compress"
 	"slfe/internal/graph"
 	"slfe/internal/metrics"
 	"slfe/internal/ws"
 )
-
-// SyncStrategy selects how changed owned values are distributed each
-// superstep (the delta-sync phase). §4.2 attributes much of SLFE's win to
-// reduced inter-node communication; the sparse strategies attack exactly
-// that by shipping each delta only to the ranks that read it.
-type SyncStrategy int
-
-const (
-	// SyncDense broadcasts every delta batch to all ranks (AllGather): the
-	// default, the cheapest choice on dense supersteps, and the only
-	// strategy compatible with dynamic rebalancing.
-	SyncDense SyncStrategy = iota
-	// SyncSparse always routes deltas point-to-point: a changed vertex is
-	// sent only to the ranks owning one of its out-neighbours (the ranks
-	// that read its value in pull mode or probe its frontier bit).
-	SyncSparse
-	// SyncAdaptive estimates the superstep's density from the global
-	// changed count (an AllReduce the sparse modes need anyway) and picks
-	// whichever strategy is cheaper for this superstep.
-	SyncAdaptive
-)
-
-func (s SyncStrategy) String() string {
-	switch s {
-	case SyncDense:
-		return "dense"
-	case SyncSparse:
-		return "sparse"
-	case SyncAdaptive:
-		return "adaptive"
-	}
-	return fmt.Sprintf("SyncStrategy(%d)", int(s))
-}
-
-// ParseSyncStrategy maps flag spellings to strategies ("" means dense).
-func ParseSyncStrategy(s string) (SyncStrategy, error) {
-	switch s {
-	case "", "dense":
-		return SyncDense, nil
-	case "sparse":
-		return SyncSparse, nil
-	case "adaptive":
-		return SyncAdaptive, nil
-	}
-	return SyncDense, fmt.Errorf("core: unknown delta-sync strategy %q (want dense | sparse | adaptive)", s)
-}
-
-// sparseSync reports whether the sparse exchange can occur this run, which
-// is what decides whether frontier statistics must be computed collectively
-// (a rank then only holds the frontier bits it needs, not the global set).
-func (e *Engine[V]) sparseSync() bool { return e.cfg.Sync != SyncDense }
 
 // frameSegEntries is the delta-batch segmentation granularity: batches are
 // framed as independent codec segments of this many entries so the
@@ -72,52 +19,7 @@ func (e *Engine[V]) sparseSync() bool { return e.cfg.Sync != SyncDense }
 // deterministic.
 const frameSegEntries = 4096
 
-// frameEncode serialises a delta batch of (id, wire-word) pairs as a framed
-// codec stream: uvarint segment count, then per segment a uvarint byte
-// length and the codec payload. With a nil scheduler (callers already
-// inside a scheduler task) segments are encoded serially. The returned map
-// counts encoded segments per codec name — the adaptive codec spreads them
-// over its candidates.
-func frameEncode(sched *ws.Scheduler, codec compress.Codec, ids []uint32, vals []uint64) ([]byte, map[string]int64) {
-	picks := make(map[string]int64)
-	nSeg := (len(ids) + frameSegEntries - 1) / frameSegEntries
-	if nSeg == 0 {
-		return binary.AppendUvarint(nil, 0), picks
-	}
-	_, adaptive := codec.(compress.Adaptive)
-	width := codec.Width()
-	parts := make([][]byte, nSeg)
-	names := make([]string, nSeg)
-	enc := func(s int) {
-		lo := s * frameSegEntries
-		hi := min(lo+frameSegEntries, len(ids))
-		if adaptive {
-			parts[s], names[s] = compress.EncodeBest(width, ids[lo:hi], vals[lo:hi])
-		} else {
-			parts[s], names[s] = codec.Encode(ids[lo:hi], vals[lo:hi]), codec.Name()
-		}
-	}
-	if sched != nil && nSeg > 1 {
-		sched.Tasks(nSeg, enc)
-	} else {
-		for s := range parts {
-			enc(s)
-		}
-	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	buf := binary.AppendUvarint(make([]byte, 0, total+3*nSeg+3), uint64(nSeg))
-	for s, p := range parts {
-		buf = binary.AppendUvarint(buf, uint64(len(p)))
-		buf = append(buf, p...)
-		picks[names[s]]++
-	}
-	return buf, picks
-}
-
-// frameDecode walks a frameEncode stream, handing each segment to the
+// frameDecode walks a frameEncodePooled stream, handing each segment to the
 // codec. Truncated or oversized frames are rejected before any slicing.
 func frameDecode(codec compress.Codec, buf []byte, fn func(id uint32, val uint64) error) error {
 	nSeg, n := binary.Uvarint(buf)
@@ -148,16 +50,6 @@ func frameDecode(codec compress.Codec, buf []byte, fn func(id uint32, val uint64
 	return nil
 }
 
-// foldPicks rolls per-batch codec choices into the run metrics.
-func (st *state[V]) foldPicks(picks map[string]int64) {
-	if len(picks) == 0 {
-		return
-	}
-	for name, n := range picks {
-		st.picks()[name] += n
-	}
-}
-
 // picks returns the run's codec-choice counter map, created on first use
 // and reused for the rest of the run (incrementing an existing key does not
 // allocate).
@@ -168,11 +60,10 @@ func (st *state[V]) picks() map[string]int64 {
 	return st.run.CodecPicks
 }
 
-// frameEnc is the engine-owned pooled counterpart of frameEncode: the
+// frameEnc holds the engine-owned buffers of frameEncodePooled: the
 // per-segment trial and output buffers, the segment-name table and the
-// final frame buffer are all reused across supersteps, so the dense
-// delta-sync's serialisation is allocation-free in steady state. The wire
-// format is identical to frameEncode's.
+// final frame buffer are all reused across supersteps, so delta-sync's
+// serialisation is allocation-free in steady state.
 type frameEnc struct {
 	ids      []graph.VertexID
 	vals     []uint64
@@ -188,11 +79,13 @@ type frameEnc struct {
 	body     func(s int)
 }
 
-// frameEncodePooled serialises a delta batch like frameEncode, but into
-// engine-owned reusable buffers, with segments encoded in parallel on the
-// scheduler and per-segment codec choices counted into picks (which must
-// not be nil). The returned blob is valid until the next pooled encode;
-// transports do not retain it past Send.
+// frameEncodePooled serialises a delta batch of (id, wire-word) pairs as a
+// framed codec stream: uvarint segment count, then per segment a uvarint
+// byte length and the codec payload. Segments are encoded in parallel on
+// the scheduler into engine-owned reusable buffers, and each segment's codec
+// choice is counted into picks (which must not be nil; the adaptive codec
+// spreads segments over its candidates). The returned blob is valid until
+// the next encode; transports do not retain it past Send.
 func (e *Engine[V]) frameEncodePooled(ids []graph.VertexID, vals []uint64, picks map[string]int64) []byte {
 	f := &e.frame
 	if !f.init {
@@ -290,80 +183,33 @@ func (e *Engine[V]) collectChunk(clo, chi uint32, _ int) {
 	cs.partIDs[idx], cs.partVals[idx] = ids, vals
 }
 
-// syncOwned distributes this worker's changed owned vertices and applies
-// every received delta to values and the next frontier, picking the
-// exchange strategy per superstep. Returns the global number of changed
-// vertices (under pure dense sync, the decoded count — identical by
-// construction).
-func (e *Engine[V]) syncOwned(st *state[V], changed *bitset.Atomic, frontier *bitset.Atomic, iter int, stat *metrics.IterStat) (int64, error) {
+// syncOwned broadcasts this worker's changed owned vertices to every rank
+// (AllGather) and applies every rank's batch to values and the next
+// frontier. Encoding is segmented and parallel into pooled wire buffers and
+// the decode callback is pre-created, so a steady-state sync allocates
+// nothing beyond what the transport itself copies.
+func (e *Engine[V]) syncOwned(st *state[V], changed *bitset.Atomic, frontier *bitset.Atomic, iter int, stat *metrics.IterStat) error {
 	bytes0 := e.comm.T.Stats().BytesSent
 	ids, vals := e.collectOwnedChanged(st, changed)
-	sparse := false
-	global := int64(-1)
-	if e.sparseSync() {
-		// The convergence-style changed-count AllReduce doubles as the
-		// density estimate: every rank sees the same global count, so the
-		// strategy choice below is identical cluster-wide.
-		g, err := e.comm.AllReduceI64(int64(len(ids)), comm.OpSum)
-		if err != nil {
-			return 0, err
-		}
-		global = g
-		e.lastGlobalChanged = g
-		switch e.cfg.Sync {
-		case SyncSparse:
-			sparse = true
-		case SyncAdaptive:
-			sparse = e.comm.Size() > 1 && global*e.cfg.SparseDivisor < int64(e.g.NumVertices())
-		}
-	}
-	var total int64
-	var err error
-	if sparse {
-		total, err = e.syncSparse(st, frontier, iter, ids, vals, global)
-		st.run.SparseSyncs++
-		stat.SyncSparse = true
-	} else {
-		total, err = e.syncDense(st, frontier, iter, ids, vals)
-		st.run.DenseSyncs++
-	}
-	if err != nil {
-		return 0, err
-	}
-	stat.SyncBytes += e.comm.T.Stats().BytesSent - bytes0
-	return total, nil
-}
-
-// syncDense broadcasts the batch to every rank (the original AllGather
-// path) with parallel segmented encoding into pooled wire buffers and a
-// pre-created decode callback, so a steady-state dense sync allocates
-// nothing beyond what the transport itself copies.
-func (e *Engine[V]) syncDense(st *state[V], frontier *bitset.Atomic, iter int, ids []graph.VertexID, vals []uint64) (int64, error) {
 	blob := e.frameEncodePooled(ids, vals, st.picks())
 	blobs, err := e.comm.AllGather(blob)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	e.decFrontier, e.decIter, e.decTotal = frontier, iter, 0
+	e.decFrontier, e.decIter = frontier, iter
 	for rank, b := range blobs {
 		e.decRank = rank
-		if err := frameDecode(e.codec, b, e.denseDecode); err != nil {
-			return 0, err
+		if err := frameDecode(e.codec, b, e.syncDecode); err != nil {
+			return err
 		}
 	}
 	e.decFrontier = nil
-	// A dense broadcast delivers the latest value of these vertices to
-	// every rank, superseding any earlier sparse-only distribution.
-	if e.dirty != nil {
-		for _, id := range ids {
-			e.dirty.Clear(int(id))
-		}
-	}
-	return e.decTotal, nil
+	stat.SyncBytes += e.comm.T.Stats().BytesSent - bytes0
+	return nil
 }
 
-// applyDenseDelta is the pre-created decode callback of syncDense.
-func (e *Engine[V]) applyDenseDelta(id uint32, bits uint64) error {
+// applyDelta is the pre-created decode callback of syncOwned.
+func (e *Engine[V]) applyDelta(id uint32, bits uint64) error {
 	if int(id) >= e.g.NumVertices() {
 		return fmt.Errorf("core: delta for out-of-range vertex %d", id)
 	}
@@ -374,159 +220,5 @@ func (e *Engine[V]) applyDenseDelta(id uint32, bits uint64) error {
 		e.decFrontier.Set(int(id))
 	}
 	e.curState.markChanged(graph.VertexID(id), e.decIter)
-	e.decTotal++
-	return nil
-}
-
-// syncSparse routes each changed vertex only to the ranks owning one of
-// its out-neighbours — exactly the ranks that read its value (pull-mode
-// relaxation, catch-up scans, arith gathers) or probe its frontier bit.
-// Per-destination batches are encoded in parallel on the scheduler and
-// exchanged point-to-point; the global changed count was already agreed by
-// the caller's AllReduce, so termination and mode switches stay in
-// lockstep even though no rank holds the full frontier.
-func (e *Engine[V]) syncSparse(st *state[V], frontier *bitset.Atomic, iter int, ids []graph.VertexID, vals []uint64, global int64) (int64, error) {
-	for _, id := range ids {
-		if frontier != nil {
-			frontier.Set(int(id))
-		}
-		st.markChanged(id, iter)
-		e.dirty.Set(int(id))
-	}
-	size := e.comm.Size()
-	if size == 1 || global == 0 {
-		return global, nil
-	}
-	me := e.comm.Rank()
-	type batch struct {
-		ids  []graph.VertexID
-		vals []uint64
-	}
-	dests := make([]batch, size)
-	serial := e.curs[len(e.curs)-1]
-	for i, id := range ids {
-		for _, u := range serial.OutNeighbors(id) {
-			r := e.owner(u)
-			if r == me {
-				continue
-			}
-			b := &dests[r]
-			if k := len(b.ids); k > 0 && b.ids[k-1] == id {
-				continue // already routed to this rank
-			}
-			b.ids = append(b.ids, id)
-			b.vals = append(b.vals, vals[i])
-		}
-	}
-	blobs := make([][]byte, size)
-	destPicks := make([]map[string]int64, size)
-	e.sched.Tasks(size, func(r int) {
-		if r == me || len(dests[r].ids) == 0 {
-			return
-		}
-		blobs[r], destPicks[r] = frameEncode(nil, e.codec, dests[r].ids, dests[r].vals)
-	})
-	for _, p := range destPicks {
-		st.foldPicks(p)
-	}
-	got, err := e.comm.SparseExchange(blobs)
-	if err != nil {
-		return 0, err
-	}
-	n := e.g.NumVertices()
-	for from, blob := range got {
-		if from == me || blob == nil {
-			continue
-		}
-		err := frameDecode(e.codec, blob, func(id uint32, bits uint64) error {
-			if int(id) >= n {
-				return fmt.Errorf("core: sparse delta for out-of-range vertex %d", id)
-			}
-			if graph.VertexID(id) >= e.lo && graph.VertexID(id) < e.hi {
-				return fmt.Errorf("core: rank %d sent a delta for vertex %d owned here", from, id)
-			}
-			st.values[id] = e.dom.FromBits(bits)
-			if frontier != nil {
-				frontier.Set(int(id))
-			}
-			st.markChanged(graph.VertexID(id), iter)
-			return nil
-		})
-		if err != nil {
-			return 0, err
-		}
-	}
-	return global, nil
-}
-
-// flushSparse restores the full-replication invariant the dense path keeps
-// every superstep: each owned value whose latest update travelled only the
-// sparse exchange is re-broadcast once at termination, so every worker
-// returns identical results. With TrackLastChange the per-vertex
-// last-change iterations are flushed the same way (as uint32 wire words,
-// which fit either width). The flush is a collective, entered by all ranks
-// whenever sparse sync is configured, even if no superstep actually went
-// sparse.
-func (e *Engine[V]) flushSparse(st *state[V]) error {
-	if e.dirty == nil {
-		return nil
-	}
-	start := time.Now()
-	bytes0 := e.comm.T.Stats().BytesSent
-	var ids []graph.VertexID
-	var vals []uint64
-	e.dirty.RangeIn(int(e.lo), int(e.hi), func(i int) bool {
-		ids = append(ids, graph.VertexID(i))
-		vals = append(vals, e.dom.Bits(st.values[i]))
-		return true
-	})
-	err := e.flushGather(st, ids, vals, func(id uint32, bits uint64) {
-		st.values[id] = e.dom.FromBits(bits)
-	})
-	if err != nil {
-		return err
-	}
-	if st.lastChange != nil {
-		lc := make([]uint64, len(ids))
-		for i, id := range ids {
-			lc[i] = uint64(uint32(st.lastChange[id]))
-		}
-		err := e.flushGather(st, ids, lc, func(id uint32, bits uint64) {
-			st.lastChange[id] = int32(uint32(bits))
-		})
-		if err != nil {
-			return err
-		}
-	}
-	e.dirty.Reset()
-	st.run.FlushBytes += e.comm.T.Stats().BytesSent - bytes0
-	st.run.SyncTime += time.Since(start)
-	return nil
-}
-
-// flushGather broadcasts one owned (id, wire-word) batch and applies every
-// remote rank's batch through apply.
-func (e *Engine[V]) flushGather(st *state[V], ids []graph.VertexID, vals []uint64, apply func(id uint32, bits uint64)) error {
-	blob := e.frameEncodePooled(ids, vals, st.picks())
-	blobs, err := e.comm.AllGather(blob)
-	if err != nil {
-		return err
-	}
-	n := e.g.NumVertices()
-	for rank, b := range blobs {
-		if rank == e.comm.Rank() {
-			continue
-		}
-		err := frameDecode(e.codec, b, func(id uint32, bits uint64) error {
-			if int(id) >= n {
-				return fmt.Errorf("core: flush delta for out-of-range vertex %d", id)
-			}
-			apply(id, bits)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
 	return nil
 }

@@ -5,51 +5,26 @@ import (
 	"sync"
 	"testing"
 
-	"slfe/internal/ckpt"
 	"slfe/internal/comm"
 	"slfe/internal/compress"
-	"slfe/internal/gen"
 	"slfe/internal/graph"
-	"slfe/internal/metrics"
 	"slfe/internal/partition"
 	"slfe/internal/ws"
 )
 
-func TestParseSyncStrategy(t *testing.T) {
-	cases := map[string]SyncStrategy{
-		"": SyncDense, "dense": SyncDense, "sparse": SyncSparse, "adaptive": SyncAdaptive,
-	}
-	for in, want := range cases {
-		got, err := ParseSyncStrategy(in)
-		if err != nil || got != want {
-			t.Errorf("ParseSyncStrategy(%q) = %v, %v; want %v", in, got, err, want)
-		}
-		if got.String() == "" {
-			t.Errorf("%v has no name", got)
-		}
-	}
-	if _, err := ParseSyncStrategy("eager"); err == nil {
-		t.Error("unknown strategy accepted")
-	}
-}
-
-func TestSyncStrategyValidation(t *testing.T) {
-	g := gen.Path(10)
-	part, _ := partition.NewChunked(g, 1)
-	if _, err := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part, Sync: SyncSparse, Rebalance: true}); err == nil {
-		t.Error("sparse sync with rebalancing accepted")
-	}
-	if _, err := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part, Sync: SyncStrategy(42)}); err == nil {
-		t.Error("invalid sync strategy accepted")
-	}
-	if _, err := New[float64](Config{Graph: g, Comm: singleComm(t), Part: part, Sync: SyncAdaptive}); err != nil {
-		t.Errorf("adaptive sync rejected: %v", err)
-	}
+// frameEngine is the minimal engine frameEncodePooled needs: a scheduler
+// and a codec.
+func frameEngine(sched *ws.Scheduler, codec compress.Codec) *Engine[float64] {
+	return &Engine[float64]{sched: sched, codec: codec}
 }
 
 func TestFrameRoundTrip(t *testing.T) {
 	sched := ws.New(4, true)
+	defer sched.Close()
+	serial := ws.New(1, false)
+	defer serial.Close()
 	for _, codec := range []compress.Codec{compress.Raw{}, compress.Adaptive{}} {
+		e, e1 := frameEngine(sched, codec), frameEngine(serial, codec)
 		for _, n := range []int{0, 1, frameSegEntries, frameSegEntries + 1, 3*frameSegEntries + 17} {
 			ids := make([]uint32, n)
 			vals := make([]uint64, n)
@@ -57,7 +32,8 @@ func TestFrameRoundTrip(t *testing.T) {
 				ids[i] = uint32(2 * i)
 				vals[i] = math.Float64bits(float64(i % 5))
 			}
-			blob, picks := frameEncode(sched, codec, ids, vals)
+			picks := make(map[string]int64)
+			blob := append([]byte(nil), e.frameEncodePooled(ids, vals, picks)...)
 			wantSegs := (n + frameSegEntries - 1) / frameSegEntries
 			var gotSegs int64
 			for _, c := range picks {
@@ -80,10 +56,10 @@ func TestFrameRoundTrip(t *testing.T) {
 			if i != n {
 				t.Fatalf("%s n=%d: decoded %d entries", codec.Name(), n, i)
 			}
-			// Serial encoding (the sparse per-destination path) must produce
-			// identical bytes: the wire format cannot depend on threading.
-			serial, _ := frameEncode(nil, codec, ids, vals)
-			if string(serial) != string(blob) {
+			// One-thread encoding must produce identical bytes: the wire
+			// format cannot depend on threading.
+			one := e1.frameEncodePooled(ids, vals, make(map[string]int64))
+			if string(one) != string(blob) {
 				t.Fatalf("%s n=%d: serial and parallel frames differ", codec.Name(), n)
 			}
 		}
@@ -94,7 +70,9 @@ func TestFrameDecodeRejectsCorruptFrames(t *testing.T) {
 	codec := compress.Raw{}
 	ids := []uint32{1, 2, 3}
 	vals := []uint64{4, 5, 6}
-	blob, _ := frameEncode(nil, codec, ids, vals)
+	sched := ws.New(1, false)
+	defer sched.Close()
+	blob := frameEngine(sched, codec).frameEncodePooled(ids, vals, make(map[string]int64))
 	nop := func(uint32, uint64) error { return nil }
 	if err := frameDecode(codec, nil, nop); err == nil {
 		t.Error("nil frame accepted")
@@ -167,128 +145,4 @@ func sameValues(a, b []Value) bool {
 		}
 	}
 	return true
-}
-
-func TestSyncStrategiesBitIdentical(t *testing.T) {
-	const nodes = 4
-	g := gen.RMAT(1024, 8192, gen.DefaultRMAT, 8, 21)
-	for _, prog := range []*Program[float64]{testProgram(), testArith()} {
-		ref := runClusterAll(t, g, prog, nodes, func(_ int, cfg *Config) {
-			cfg.TrackLastChange = true
-		})
-		for _, sync := range []SyncStrategy{SyncSparse, SyncAdaptive} {
-			for _, codec := range []compress.Codec{nil, compress.Adaptive{}} {
-				sync, codec := sync, codec
-				results := runClusterAll(t, g, prog, nodes, func(_ int, cfg *Config) {
-					cfg.Sync = sync
-					cfg.Codec = codec
-					cfg.TrackLastChange = true
-				})
-				if results[0].Iterations != ref[0].Iterations {
-					t.Fatalf("%s/%v: %d iterations, dense ran %d", prog.Name, sync, results[0].Iterations, ref[0].Iterations)
-				}
-				for rank, res := range results {
-					if !sameValues(res.Values, ref[0].Values) {
-						t.Fatalf("%s/%v: rank %d values differ from dense reference", prog.Name, sync, rank)
-					}
-					for v := range res.LastChange {
-						if res.LastChange[v] != ref[0].LastChange[v] {
-							t.Fatalf("%s/%v: rank %d LastChange[%d] = %d, dense has %d",
-								prog.Name, sync, rank, v, res.LastChange[v], ref[0].LastChange[v])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestAdaptiveSparseTailBytes is the acceptance check of the adaptive
-// exchange: on a frontier-driven run the sparse strategy must transfer
-// strictly fewer bytes than the dense AllGather on every superstep the
-// adaptive mode routes sparsely, and the adaptive run must use both
-// strategies (dense head, sparse tail).
-func TestAdaptiveSparseTailBytes(t *testing.T) {
-	const nodes = 4
-	g := gen.RMAT(2048, 16384, gen.DefaultRMAT, 8, 5)
-	prog := testProgram()
-
-	perSuperstep := func(sync SyncStrategy) (*metrics.Run, *Result[float64]) {
-		results := runClusterAll(t, g, prog, nodes, func(_ int, cfg *Config) { cfg.Sync = sync })
-		runs := make([]*metrics.Run, len(results))
-		for i, r := range results {
-			runs[i] = r.Metrics
-		}
-		return metrics.Merge(runs), results[0]
-	}
-
-	dense, denseRes := perSuperstep(SyncDense)
-	sparse, sparseRes := perSuperstep(SyncSparse)
-	adaptive, adaptiveRes := perSuperstep(SyncAdaptive)
-
-	if !sameValues(denseRes.Values, sparseRes.Values) || !sameValues(denseRes.Values, adaptiveRes.Values) {
-		t.Fatal("strategies disagree on values")
-	}
-	if len(dense.Iters) != len(sparse.Iters) || len(dense.Iters) != len(adaptive.Iters) {
-		t.Fatalf("superstep counts diverge: dense=%d sparse=%d adaptive=%d",
-			len(dense.Iters), len(sparse.Iters), len(adaptive.Iters))
-	}
-	if adaptive.DenseSyncs == 0 || adaptive.SparseSyncs == 0 {
-		t.Fatalf("adaptive used dense=%d sparse=%d supersteps; want both regimes on a BFS-style run",
-			adaptive.DenseSyncs, adaptive.SparseSyncs)
-	}
-	sparseTail := 0
-	for i := range adaptive.Iters {
-		if !adaptive.Iters[i].SyncSparse {
-			continue
-		}
-		sparseTail++
-		if sparse.Iters[i].SyncBytes >= dense.Iters[i].SyncBytes {
-			t.Errorf("superstep %d: sparse sync sent %d bytes, dense sent %d — sparse must be strictly cheaper where adaptive picks it",
-				i, sparse.Iters[i].SyncBytes, dense.Iters[i].SyncBytes)
-		}
-		// The adaptive run made the same choice, so it must match the
-		// sparse run's cost there.
-		if adaptive.Iters[i].SyncBytes >= dense.Iters[i].SyncBytes {
-			t.Errorf("superstep %d: adaptive sent %d bytes where dense sends %d", i, adaptive.Iters[i].SyncBytes, dense.Iters[i].SyncBytes)
-		}
-	}
-	if sparseTail == 0 {
-		t.Fatal("adaptive never picked sparse; tail supersteps should be sparse")
-	}
-}
-
-func TestSparseSyncWithCkptResume(t *testing.T) {
-	const nodes = 3
-	g := gen.RMAT(512, 4096, gen.DefaultRMAT, 8, 77)
-	prog := testProgram()
-	dir := t.TempDir()
-
-	ref := runClusterAll(t, g, prog, nodes, func(_ int, cfg *Config) { cfg.Sync = SyncSparse })
-	// First run saves checkpoints every superstep.
-	runClusterAll(t, g, prog, nodes, func(_ int, cfg *Config) {
-		cfg.Sync = SyncSparse
-		cfg.Ckpt = &ckpt.Manager{Dir: dir, Every: 1}
-	})
-	// Resumed run must restore the sparse-dirty set and still converge to
-	// identical values on every rank (the flush depends on that set).
-	resumed := runClusterAll(t, g, prog, nodes, func(_ int, cfg *Config) {
-		cfg.Sync = SyncSparse
-		cfg.Ckpt = &ckpt.Manager{Dir: dir, Every: 1, Resume: true}
-	})
-	for rank, res := range resumed {
-		if !sameValues(res.Values, ref[0].Values) {
-			t.Fatalf("rank %d: resumed sparse run differs from reference", rank)
-		}
-	}
-}
-
-func TestSparseSingleRank(t *testing.T) {
-	g := gen.RMAT(256, 2048, gen.DefaultRMAT, 8, 3)
-	prog := testProgram()
-	solo := runClusterAll(t, g, prog, 1, func(_ int, cfg *Config) { cfg.Sync = SyncSparse })
-	ref := runClusterAll(t, g, prog, 1, nil)
-	if !sameValues(solo[0].Values, ref[0].Values) {
-		t.Fatal("single-rank sparse run differs from dense")
-	}
 }

@@ -1,13 +1,12 @@
 // Cross-domain differential test: the value-domain genericization must
-// preserve the engine's strategy/pipeline/transport invariance contract in
-// every domain, and the narrow domains must agree with the f64 oracle.
+// preserve the engine's pipeline/transport invariance contract in every
+// domain, and the narrow domains must agree with the f64 oracle.
 //
 // For each registered application and each of its domains (f64, f32, and
-// u32 where the property is an integer label), every delta-sync strategy
-// (dense | sparse | adaptive) crossed with both sync pipelines (serial
+// u32 where the property is an integer label), both sync pipelines (serial
 // oracle | overlapped streaming) over both the in-process transport and a
 // real TCP mesh must produce values bit-identical (in the domain's own
-// wire words) to that domain's serial dense in-process reference. Across
+// wire words) to that domain's serial in-process reference. Across
 // domains, f32 must match f64 within float32 rounding, and u32 must match
 // f64 exactly after identifying the unreached sentinels.
 package core_test
@@ -30,9 +29,8 @@ import (
 )
 
 // runTCPDomain executes the program over a freshly dialled localhost TCP
-// mesh and returns every rank's values (the generic counterpart of
-// runTCP).
-func runTCPDomain[V comparable](t *testing.T, g *graph.Graph, prog *core.Program[V], nodes int, strat core.SyncStrategy, serialSync bool, gd *rrg.Guidance) [][]V {
+// mesh and returns every rank's values.
+func runTCPDomain[V comparable](t *testing.T, g *graph.Graph, prog *core.Program[V], nodes int, serialSync bool, gd *rrg.Guidance) [][]V {
 	t.Helper()
 	part, err := partition.NewChunked(g, nodes)
 	if err != nil {
@@ -52,7 +50,7 @@ func runTCPDomain[V comparable](t *testing.T, g *graph.Graph, prog *core.Program
 			tr := transports[rank]
 			eng, err := core.New[V](core.Config{
 				Graph: g, Comm: comm.NewComm(tr), Part: part,
-				RR: true, Guidance: gd, Sync: strat, SerialSync: serialSync,
+				RR: true, Guidance: gd, SerialSync: serialSync,
 			})
 			if err != nil {
 				errs[rank] = err
@@ -95,9 +93,9 @@ func bitIdenticalIn[V comparable](dom core.Domain[V], a, b []V) bool {
 	return true
 }
 
-// domainMatrix runs the full strategy × pipeline × transport matrix for
-// one typed program and returns the serial dense in-process reference
-// projected to float64.
+// domainMatrix runs the full pipeline × transport matrix for one typed
+// program and returns the serial in-process reference projected to
+// float64.
 func domainMatrix[V comparable](t *testing.T, g *graph.Graph, prog *core.Program[V]) []float64 {
 	t.Helper()
 	const nodes = 3
@@ -107,23 +105,21 @@ func domainMatrix[V comparable](t *testing.T, g *graph.Graph, prog *core.Program
 	}
 	dom := ref.Result.Dom
 	gd := ref.Guidance
-	for _, sync := range []core.SyncStrategy{core.SyncDense, core.SyncSparse, core.SyncAdaptive} {
-		for _, serial := range []bool{true, false} {
-			label := fmt.Sprintf("%v/serial=%v", sync, serial)
-			inproc, err := cluster.Execute(g, prog, cluster.Options{
-				Nodes: nodes, RR: true, Guidance: gd, Sync: sync, SerialSync: serial,
-			})
-			if err != nil {
-				t.Fatalf("in-process %s: %v", label, err)
-			}
-			if !bitIdenticalIn(dom, inproc.Result.Values, ref.Result.Values) {
-				t.Fatalf("in-process %s differs from serial dense reference", label)
-			}
-			tcp := runTCPDomain(t, g, prog, nodes, sync, serial, gd)
-			for rank, vals := range tcp {
-				if !bitIdenticalIn(dom, vals, ref.Result.Values) {
-					t.Fatalf("TCP %s: rank %d differs from serial dense reference", label, rank)
-				}
+	for _, serial := range []bool{true, false} {
+		label := fmt.Sprintf("serial=%v", serial)
+		inproc, err := cluster.Execute(g, prog, cluster.Options{
+			Nodes: nodes, RR: true, Guidance: gd, SerialSync: serial,
+		})
+		if err != nil {
+			t.Fatalf("in-process %s: %v", label, err)
+		}
+		if !bitIdenticalIn(dom, inproc.Result.Values, ref.Result.Values) {
+			t.Fatalf("in-process %s differs from serial reference", label)
+		}
+		tcp := runTCPDomain(t, g, prog, nodes, serial, gd)
+		for rank, vals := range tcp {
+			if !bitIdenticalIn(dom, vals, ref.Result.Values) {
+				t.Fatalf("TCP %s: rank %d differs from serial reference", label, rank)
 			}
 		}
 	}

@@ -60,15 +60,6 @@ type Config struct {
 	// program domain's width — Run validates. All workers must agree.
 	Codec compress.Codec
 
-	// Sync selects the delta-sync strategy (§4.2's communication
-	// bottleneck): dense AllGather, sparse per-peer exchange, or
-	// per-superstep adaptive selection. The sparse strategies require a
-	// static partition (no Rebalance). All workers must agree.
-	Sync SyncStrategy
-	// SparseDivisor tunes SyncAdaptive: a superstep synchronises sparsely
-	// when globalChanged * SparseDivisor < |V| (default 16).
-	SparseDivisor int64
-
 	// Ckpt enables Pregel-style superstep checkpointing: every
 	// Ckpt.Interval() supersteps each worker writes its shard, and with
 	// Ckpt.Resume the run restarts from the latest complete checkpoint.
@@ -151,10 +142,7 @@ type Engine[V comparable] struct {
 	g    graph.View
 	comm *comm.Comm
 	// curs[t] is thread t's adjacency cursor (free aliases for a heap
-	// graph, per-thread block-decode scratch for a disk-backed one);
-	// curs[threads] is the serial cursor used by the engine/dispatcher
-	// goroutine (sparse sync, overlap drain), which never runs
-	// concurrently with itself.
+	// graph, per-thread block-decode scratch for a disk-backed one).
 	curs     []graph.Cursor
 	sched    *ws.Scheduler
 	ownSched bool           // Close tears the pool down only when the engine built it
@@ -168,28 +156,17 @@ type Engine[V comparable] struct {
 	dom   Domain[V]
 	codec compress.Codec
 
-	// dirty marks owned vertices whose latest value was distributed only
-	// through the sparse exchange and so is stale on uninterested ranks;
-	// flushSparse re-broadcasts them at termination. Nil under SyncDense.
-	dirty *bitset.Atomic
-	// lastGlobalChanged caches the changed-count AllReduce of the latest
-	// delta-sync; the next frontier holds exactly those vertices, so the
-	// sparse-mode active count can reuse it instead of re-reducing
-	// (-1: unknown — first superstep or just resumed from a checkpoint).
-	lastGlobalChanged int64
-
 	// Steady-state working sets, allocated once and reused every superstep
 	// (the zero-allocation hot path). curState/changed point at the active
 	// run's state so the pre-created closures below need no per-superstep
 	// captures.
-	curState  *state[V]
-	changed   *bitset.Atomic
-	push      *pushState[V]   // flat push-combining buffers (push.go)
-	collect   collectState[V] // changed-owned-vertex gather buffers
-	bits      bitsCollect     // checkpoint bit-listing buffers
-	frame     frameEnc        // delta-sync wire framing buffers (deltasync.go)
-	stream    streamState[V]  // overlapped delta-sync streaming state (overlap.go)
-	dirtySnap []uint32        // checkpoint shard's sparse-dirty listing
+	curState *state[V]
+	changed  *bitset.Atomic
+	push     *pushState[V]   // flat push-combining buffers (push.go)
+	collect  collectState[V] // changed-owned-vertex gather buffers
+	bits     bitsCollect     // checkpoint bit-listing buffers
+	frame    frameEnc        // delta-sync wire framing buffers (deltasync.go)
+	stream   streamState[V]  // overlapped delta-sync streaming state (overlap.go)
 
 	// Frontier-statistic scan: the pre-created chunk body folds through
 	// the scheduler's own reusable reduction accumulators, so the
@@ -197,21 +174,19 @@ type Engine[V comparable] struct {
 	outBody      func(clo, chi uint32, thread int) int64
 	statFrontier *bitset.Atomic
 
-	// Pre-created dense delta-sync decode callback and its per-batch
-	// context (deltasync.go).
-	denseDecode func(id uint32, bits uint64) error
+	// Pre-created delta-sync decode callback and its per-batch context
+	// (deltasync.go).
+	syncDecode  func(id uint32, bits uint64) error
 	decFrontier *bitset.Atomic
 	decIter     int
 	decRank     int
-	decTotal    int64
 }
 
 // collectState is the reusable working set of collectOwnedChanged: one
 // append buffer per mini-chunk of the owned range (written in parallel,
 // concatenated in chunk order) plus the concatenated output. Values are
 // collected directly as wire words (Domain.Bits applied at collection
-// time) so every downstream consumer — framing, sparse routing, flushing —
-// works width-agnostically on bit words.
+// time) so framing works width-agnostically on bit words.
 type collectState[V comparable] struct {
 	lo       uint32
 	src      *bitset.Atomic
@@ -270,15 +245,6 @@ func New[V comparable](cfg Config) (*Engine[V], error) {
 	if (cfg.Ckpt != nil || cfg.Restore != nil) && cfg.Rebalance {
 		return nil, errors.New("core: checkpointing with dynamic rebalancing is not supported (owned ranges are not part of the snapshot)")
 	}
-	if cfg.Sync < SyncDense || cfg.Sync > SyncAdaptive {
-		return nil, fmt.Errorf("core: invalid delta-sync strategy %d", cfg.Sync)
-	}
-	if cfg.Sync != SyncDense && cfg.Rebalance {
-		return nil, errors.New("core: sparse delta-sync needs a static partition (per-vertex destination sets assume stable ownership); disable Rebalance or use SyncDense")
-	}
-	if cfg.SparseDivisor <= 0 {
-		cfg.SparseDivisor = 16
-	}
 	e := &Engine[V]{
 		cfg:  cfg,
 		g:    cfg.Graph,
@@ -290,18 +256,15 @@ func New[V comparable](cfg Config) (*Engine[V], error) {
 		e.sched = ws.New(cfg.Threads, cfg.Stealing)
 		e.ownSched = true
 	}
-	e.curs = make([]graph.Cursor, e.sched.Threads()+1)
+	e.curs = make([]graph.Cursor, e.sched.Threads())
 	for i := range e.curs {
 		e.curs[i] = e.g.Cursor()
 	}
 	e.collect.body = e.collectChunk
 	e.bits.body = e.collectBitsChunk
 	e.outBody = e.outEdgesChunk
-	e.denseDecode = e.applyDenseDelta
+	e.syncDecode = e.applyDelta
 	e.lo, e.hi = cfg.Part.Range(cfg.Comm.Rank())
-	if cfg.Sync != SyncDense {
-		e.dirty = bitset.NewAtomic(cfg.Graph.NumVertices())
-	}
 	if cfg.Rebalance {
 		k := cfg.Part.Nodes()
 		bounds := make([]uint32, k+1)
@@ -506,12 +469,8 @@ func hasActiveIn(frontier *bitset.Atomic, ins []graph.VertexID) bool {
 // the scheduler with a pre-created chunk body, so the per-superstep scan
 // allocates nothing (the scheduler owns the reduction accumulators).
 func (e *Engine[V]) frontierOutEdges(frontier *bitset.Atomic) int64 {
-	return e.sumFrontierOutEdges(frontier, 0, uint32(frontier.Len()))
-}
-
-func (e *Engine[V]) sumFrontierOutEdges(frontier *bitset.Atomic, lo, hi uint32) int64 {
 	e.statFrontier = frontier
-	sum, _ := e.sched.ReduceI64(lo, hi, e.outBody)
+	sum, _ := e.sched.ReduceI64(0, uint32(frontier.Len()), e.outBody)
 	e.statFrontier = nil
 	return sum
 }
@@ -524,18 +483,6 @@ func (e *Engine[V]) outEdgesChunk(clo, chi uint32, _ int) int64 {
 		s += e.g.OutDegree(graph.VertexID(i))
 	}
 	return s
-}
-
-// frontierOutEdgesGlobal returns the global frontier out-degree sum. Under
-// dense sync every worker holds the full frontier and computes it locally;
-// once sparse sync is possible a worker only holds the bits it needs, so
-// the owned spans are summed with an AllReduce instead.
-func (e *Engine[V]) frontierOutEdgesGlobal(frontier *bitset.Atomic) (int64, error) {
-	if !e.sparseSync() {
-		return e.frontierOutEdges(frontier), nil
-	}
-	local := e.sumFrontierOutEdges(frontier, uint32(e.lo), uint32(e.hi))
-	return e.comm.AllReduceI64(local, comm.OpSum)
 }
 
 // collectBitsInto appends the set indices of b to dst in ascending order.
@@ -592,7 +539,7 @@ func restoreBits(b *bitset.Atomic, ids []uint32) error {
 // run's domain tag: a value array is meaningless bits in any other domain.
 func (e *Engine[V]) loadCheckpoint(p *Program[V], kind ckpt.Kind) (*ckpt.State, error) {
 	if s := e.cfg.Restore; s != nil {
-		if err := e.validateSnap(s, p, kind); err != nil {
+		if err := e.validateSnap(s, p, kind, false); err != nil {
 			return nil, err
 		}
 		return s, nil
@@ -612,15 +559,20 @@ func (e *Engine[V]) loadCheckpoint(p *Program[V], kind ckpt.Kind) (*ckpt.State, 
 	if err != nil {
 		return nil, err
 	}
-	if err := e.validateSnap(s, p, kind); err != nil {
+	if err := e.validateSnap(s, p, kind, true); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
 // validateSnap checks that a checkpoint state matches the running program,
-// loop kind, domain and graph.
-func (e *Engine[V]) validateSnap(s *ckpt.State, p *Program[V], kind ckpt.Kind) error {
+// loop kind, domain and graph. A per-rank shard (shard true) must also list
+// no sparse-dirty vertices: the since-removed sparse delta-sync recorded
+// there the owned vertices whose latest value had reached only some ranks,
+// so the shard's copies of other ranks' vertices may be stale. A merged
+// state (Config.Restore) is safe either way, because ckpt.Merge takes each
+// vertex from its owner.
+func (e *Engine[V]) validateSnap(s *ckpt.State, p *Program[V], kind ckpt.Kind, shard bool) error {
 	if s.Program != p.Name {
 		return fmt.Errorf("core: checkpoint is for program %q, running %q", s.Program, p.Name)
 	}
@@ -633,6 +585,10 @@ func (e *Engine[V]) validateSnap(s *ckpt.State, p *Program[V], kind ckpt.Kind) e
 	}
 	if len(s.Values) != e.g.NumVertices() {
 		return fmt.Errorf("core: checkpoint has %d values for a graph of %d vertices", len(s.Values), e.g.NumVertices())
+	}
+	if n := len(s.Sets["sparsedirty"]); shard && n > 0 {
+		return fmt.Errorf("core: checkpoint shard of rank %d was written under sparse delta-sync and lists %d vertices whose latest value other ranks may not hold; resume through a merged state (ckpt.Merge of every rank's shard into Config.Restore) or delete the checkpoint directory",
+			s.Rank, n)
 	}
 	return nil
 }

@@ -135,23 +135,9 @@ func (k *minmaxKernel[V]) snapshot(snap *ckpt.State) {
 
 func (k *minmaxKernel[V]) stepBegin(iter *int, stat *metrics.IterStat) (bool, error) {
 	e := k.e
-	// The global active count drives termination and the mode switch, so
-	// every worker must agree on it. Under dense sync the local frontier IS
-	// the global frontier; once sparse sync is possible each worker only
-	// holds the bits it needs, but the frontier is exactly the previous
-	// delta-sync's changed set, whose AllReduced count the engine cached.
-	// Only a frontier not built by a sync (iteration 0's roots, a
-	// checkpoint resume) needs a collective count.
+	// The frontier is globally consistent (every delta-sync broadcasts
+	// every change), so the local count is the global active count.
 	active := int64(k.front.Count())
-	if e.sparseSync() && e.lastGlobalChanged >= 0 {
-		active = e.lastGlobalChanged
-	} else if e.sparseSync() {
-		var err error
-		active, err = e.comm.AllReduceI64(int64(k.front.CountRange(int(e.lo), int(e.hi))), comm.OpSum)
-		if err != nil {
-			return false, err
-		}
-	}
 
 	// globalDebt counts vertices that were suppressed while an update was
 	// available and have not caught up yet.
@@ -199,12 +185,8 @@ func (k *minmaxKernel[V]) stepBegin(iter *int, stat *metrics.IterStat) (bool, er
 	// under per-edge activity accounting the extra pull rounds cost
 	// only bitmap bookkeeping, whereas each reactivation re-relaxes
 	// every edge and, with suppression re-accruing debt, can ping-pong.
-	outEdges, err := e.frontierOutEdgesGlobal(k.front)
-	if err != nil {
-		return false, err
-	}
 	k.pullMode = active == 0 || globalDebt > 0 ||
-		outEdges > e.g.NumEdges()/e.cfg.DenseDivisor
+		e.frontierOutEdges(k.front) > e.g.NumEdges()/e.cfg.DenseDivisor
 	k.globalDebt = globalDebt
 
 	stat.Iter = *iter
@@ -252,18 +234,19 @@ func (k *minmaxKernel[V]) compute(iter int, _ *metrics.IterStat) error {
 // atomic OR per 64-vertex word. Counts accumulate chunk-locally and reach
 // the per-thread slots once per chunk, so threads do not contend for the
 // slots' shared cache line.
+//
+// Adjacency is read only as far as a vertex needs it: the Ruler test comes
+// first, so a suppressed vertex that already owes a catch-up reads
+// nothing, one without debt reads only its in-neighbours (to probe for an
+// active one), and in-weights are read only once a first relaxation is due.
 func (k *minmaxKernel[V]) computePullChunk(clo, chi uint32, th int) {
 	e, p, st := k.e, k.p, k.st
+	cur := e.curs[th]
 	ruler := k.ruler
 	var comps, suppressed, catchups int64
 	changed := k.changed.Batch()
 	for v := clo; v < chi; v++ {
 		vid := graph.VertexID(v)
-		ins := e.curs[th].InNeighbors(vid)
-		var iws []float32
-		if p.Weighted {
-			iws = e.curs[th].InWeights(vid)
-		}
 		best := st.values[vid]
 		if e.cfg.RR && !k.caughtUp.Get(int(v)) {
 			// Algorithm 2, pullEdge_singleRuler: an O(1) Ruler
@@ -277,7 +260,7 @@ func (k *minmaxKernel[V]) computePullChunk(clo, chi uint32, th int) {
 			// computation.
 			if ruler < e.cfg.Guidance.LastIter[v] {
 				suppressed++
-				if !k.debt.Get(int(v)) && hasActiveIn(k.front, ins) {
+				if !k.debt.Get(int(v)) && hasActiveIn(k.front, cur.InNeighbors(vid)) {
 					k.debt.Set(int(v))
 				}
 				continue
@@ -292,9 +275,14 @@ func (k *minmaxKernel[V]) computePullChunk(clo, chi uint32, th int) {
 				// source never in any frontier still holds its
 				// initial value, which the baseline never
 				// relays either.
-				for i, u := range ins {
+				var iws []float32
+				wantW := p.Weighted
+				for i, u := range cur.InNeighbors(vid) {
 					if !k.reached.Get(int(u)) {
 						continue
+					}
+					if wantW {
+						iws, wantW = cur.InWeights(vid), false
 					}
 					comps++
 					if cand := k.relax(u, st.values[u], weightAt(iws, i)); p.Better(cand, best) {
@@ -320,9 +308,14 @@ func (k *minmaxKernel[V]) computePullChunk(clo, chi uint32, th int) {
 		// scheduling, and "start late" reduces it by suppressing
 		// a vertex's events outright — all but the one catch-up
 		// scan above, which pays the in-degree from reached sources.
-		for i, u := range ins {
+		var iws []float32
+		wantW := p.Weighted
+		for i, u := range cur.InNeighbors(vid) {
 			if !k.front.Get(int(u)) {
 				continue
+			}
+			if wantW {
+				iws, wantW = cur.InWeights(vid), false
 			}
 			comps++
 			if cand := k.relax(u, st.values[u], weightAt(iws, i)); p.Better(cand, best) {

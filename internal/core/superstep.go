@@ -72,9 +72,8 @@ type kernel[V comparable] interface {
 // with per-phase timings recorded in the run metrics.
 func (e *Engine[V]) runSupersteps(p *Program[V], k kernel[V], st *state[V], changed *bitset.Atomic) (*Result[V], error) {
 	iter := 0
-	e.lastGlobalChanged = -1
 	// The run's state and changed set are pinned on the engine so the
-	// pre-created hot-path closures (dense decode, push apply, collect
+	// pre-created hot-path closures (delta decode, push apply, collect
 	// bodies) reach them without per-superstep captures.
 	e.curState, e.changed = st, changed
 	defer func() { e.curState, e.changed, e.stream.active = nil, nil, false }()
@@ -84,11 +83,6 @@ func (e *Engine[V]) runSupersteps(p *Program[V], k kernel[V], st *state[V], chan
 		e.decodeValues(st.values, snap.Values)
 		if err := k.restore(snap); err != nil {
 			return nil, err
-		}
-		if e.dirty != nil {
-			if err := restoreBits(e.dirty, snap.Sets["sparsedirty"]); err != nil {
-				return nil, err
-			}
 		}
 		iter = int(snap.Iter) + 1
 	}
@@ -147,7 +141,7 @@ func (e *Engine[V]) runSupersteps(p *Program[V], k kernel[V], st *state[V], chan
 			if err := e.syncStreamed(st, changed, f, iter, &stat); err != nil {
 				return nil, err
 			}
-		} else if _, err := e.syncOwned(st, changed, f, iter, &stat); err != nil {
+		} else if err := e.syncOwned(st, changed, f, iter, &stat); err != nil {
 			return nil, err
 		}
 		syncDur := time.Since(syncStart)
@@ -185,15 +179,6 @@ func (e *Engine[V]) runSupersteps(p *Program[V], k kernel[V], st *state[V], chan
 				Values:  e.encodeValues(st.values),
 			}
 			k.snapshot(snap)
-			if e.dirty != nil {
-				// The sparse-only distribution state must survive a resume,
-				// or the final consistency flush would miss these vertices.
-				if snap.Sets == nil {
-					snap.Sets = make(map[string][]uint32)
-				}
-				e.dirtySnap = e.collectBitsInto(e.dirtySnap[:0], e.dirty)
-				snap.Sets["sparsedirty"] = e.dirtySnap
-			}
 			if err := e.cfg.Ckpt.Save(e.comm.Rank(), snap); err != nil {
 				return nil, err
 			}
@@ -213,10 +198,6 @@ func (e *Engine[V]) runSupersteps(p *Program[V], k kernel[V], st *state[V], chan
 			prevMallocs, prevBytes = mem.Mallocs, mem.TotalAlloc
 		}
 		iter++
-	}
-
-	if err := e.flushSparse(st); err != nil {
-		return nil, err
 	}
 
 	res := &Result[V]{

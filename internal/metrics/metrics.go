@@ -34,7 +34,6 @@ type IterStat struct {
 	ActiveVerts  int64 // active vertices entering the superstep (global)
 	ECGlobal     int64 // early-converged vertices cluster-wide (arith + RR)
 	SyncBytes    int64 // bytes this worker sent during the delta-sync phase
-	SyncSparse   bool  // delta-sync ran the sparse per-peer exchange
 	// ExposedComm is the delta-sync wall time left on the critical path
 	// after the compute barrier: the whole sync phase when synchronising
 	// serially, only the drain/decode tail when the overlapped pipeline
@@ -67,18 +66,10 @@ type Run struct {
 	// Rebalances counts dynamic boundary adjustments (internal/balance).
 	Rebalances int64
 
-	// DenseSyncs and SparseSyncs count supersteps synchronised through the
-	// dense AllGather and the sparse per-peer exchange; all workers move in
-	// lockstep, so both are cluster-wide counts.
-	DenseSyncs  int64
-	SparseSyncs int64
 	// OverlappedSyncs counts supersteps whose delta-sync streamed during
-	// compute (the pipelined path); like the strategy counters it is a
-	// lockstep, cluster-wide count.
+	// compute (the pipelined path); all workers move in lockstep, so it is
+	// a cluster-wide count.
 	OverlappedSyncs int64
-	// FlushBytes is this worker's share of the final consistency flush that
-	// re-broadcasts values distributed only sparsely during the run.
-	FlushBytes int64
 	// CodecPicks counts, per codec name, how many delta batches this worker
 	// encoded with it (the adaptive codec spreads over several names; a
 	// fixed codec attributes every batch to its own).
@@ -149,7 +140,6 @@ func Merge(runs []*Run) *Run {
 			o.CatchUps += s.CatchUps
 			o.SyncBytes += s.SyncBytes
 			o.StreamedBytes += s.StreamedBytes
-			o.SyncSparse = o.SyncSparse || s.SyncSparse
 			if s.ExposedComm > o.ExposedComm {
 				o.ExposedComm = s.ExposedComm
 			}
@@ -202,16 +192,9 @@ func Merge(runs []*Run) *Run {
 		if r.Rebalances > out.Rebalances {
 			out.Rebalances = r.Rebalances // all workers rebalance in lockstep
 		}
-		if r.DenseSyncs > out.DenseSyncs {
-			out.DenseSyncs = r.DenseSyncs // lockstep: identical on every worker
-		}
-		if r.SparseSyncs > out.SparseSyncs {
-			out.SparseSyncs = r.SparseSyncs
-		}
 		if r.OverlappedSyncs > out.OverlappedSyncs {
 			out.OverlappedSyncs = r.OverlappedSyncs // lockstep: identical on every worker
 		}
-		out.FlushBytes += r.FlushBytes
 		for name, n := range r.CodecPicks {
 			if out.CodecPicks == nil {
 				out.CodecPicks = make(map[string]int64)

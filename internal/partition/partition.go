@@ -34,8 +34,11 @@ type Chunked struct {
 }
 
 // alpha weighs edges against vertices in Gemini's balance cost
-// (cost(v) = alpha + deg(v)); Gemini uses 8*(nodes-1)+1 but a plain constant
-// behaves identically at our scales.
+// (cost(v) = alpha + out-degree(v)); Gemini uses 8*(nodes-1)+1. The plain
+// constant does not balance the pull kernels, which pay in-edges: on the
+// benchmark's pr-lj graph (LJ proxy size at scale 20, R-MAT seed 1:
+// 240,000 vertices, 3.45 M edges) over 2 ranks, rank 0 owns 67,009
+// vertices and 2.15 M in-edges, rank 1 owns 172,991 and 1.30 M.
 const alpha = 8
 
 // NewChunked builds a degree-balanced contiguous partition of g over nodes

@@ -10,7 +10,6 @@ import (
 	"slfe/internal/apps"
 	"slfe/internal/cluster"
 	"slfe/internal/compress"
-	"slfe/internal/core"
 	"slfe/internal/graph"
 	"slfe/internal/rrg"
 	"slfe/internal/ws"
@@ -30,8 +29,6 @@ type Config struct {
 	RR bool
 	// Codec selects the delta-sync wire codec (nil: raw).
 	Codec compress.Codec
-	// Sync selects the delta-sync strategy.
-	Sync core.SyncStrategy
 	// Sessions bounds how many programs execute concurrently: the resident
 	// session pool's size (default 1, the pre-pool serial behaviour).
 	Sessions int
@@ -210,7 +207,6 @@ func (s *Service) runOptions() cluster.Options {
 		Stealing: s.cfg.Stealing,
 		RR:       s.cfg.RR,
 		Codec:    s.cfg.Codec,
-		Sync:     s.cfg.Sync,
 	}
 }
 

@@ -104,8 +104,11 @@ func TestArithKernelReadsWeightsOnlyWhenWeighted(t *testing.T) {
 // TestMinMaxKernelReadsWeightsOnlyWhenWeighted pins the same contract on
 // the min/max kernel, in pull and push supersteps, on the heap graph and
 // on SLFC views. Weight-blind programs (BFS, CC) never fetch a weight;
-// weighted ones fetch a vertex's in-weights once per pull superstep and a
-// frontier vertex's out-weights once per push superstep.
+// weighted ones fetch a frontier vertex's out-weights once per push
+// superstep, and a vertex's in-weights in a pull superstep only when it
+// relaxes an edge, at most once: every fetch is followed by at least one
+// of the superstep's computations. (internal/core's
+// TestPullReadsOnlyNeededAdjacency pins the exact per-vertex reads.)
 func TestMinMaxKernelReadsWeightsOnlyWhenWeighted(t *testing.T) {
 	heap := gen.RMAT(400, 3200, gen.DefaultRMAT, 8, 19)
 	views := weightViews(t, heap)
@@ -128,21 +131,26 @@ func TestMinMaxKernelReadsWeightsOnlyWhenWeighted(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s on %s rr=%v: %v", entry.Key, entry.Domain, mode, rr, err)
 				}
-				var wantIn, wantOut int64
-				for _, it := range out.PerWorker[0].Iters {
+				// Pull computations bound the in-weight fetches from above;
+				// each pull superstep that computes fetches at least once.
+				var maxIn, minIn, wantOut int64
+				for _, it := range metrics.Merge(out.PerWorker).Iters {
 					if it.Mode == metrics.Pull {
 						pulls++
-						wantIn += int64(v.NumVertices())
+						maxIn += it.Computations
+						if it.Computations > 0 {
+							minIn++
+						}
 					} else {
 						pushes++
 						wantOut += it.ActiveVerts
 					}
 				}
 				if !weighted[entry.Key] {
-					wantIn, wantOut = 0, 0
+					maxIn, minIn, wantOut = 0, 0, 0
 				}
-				if got := calls.in.Load(); got != wantIn {
-					t.Errorf("%s/%s on %s rr=%v: %d InWeights calls, want %d", entry.Key, entry.Domain, mode, rr, got, wantIn)
+				if got := calls.in.Load(); got < minIn || got > maxIn {
+					t.Errorf("%s/%s on %s rr=%v: %d InWeights calls, want %d..%d", entry.Key, entry.Domain, mode, rr, got, minIn, maxIn)
 				}
 				if got := calls.out.Load(); got != wantOut {
 					t.Errorf("%s/%s on %s rr=%v: %d OutWeights calls, want %d", entry.Key, entry.Domain, mode, rr, got, wantOut)
